@@ -33,7 +33,9 @@ Cluster::Cluster(ClusterConfig C)
     W->Index = I;
     W->OutboxObj = formatString("cluster.outbox#%d", I);
     serve::EngineConfig EC = Cfg.Worker;
-    EC.External = true;
+    // The master arms the race analyzer around the whole threaded run and
+    // collects its findings once, not per worker.
+    EC.Races = check::Policy::Off;
     EC.Tracer = nullptr;
     if (Cfg.Worker.Tracer) {
       // Each worker records into a private tracer on its own thread; the
@@ -55,25 +57,16 @@ Cluster::Cluster(ClusterConfig C)
 Cluster::~Cluster() = default;
 
 void Cluster::drawArrivals() {
-  // All arrivals are a pure function of (seed, stream), drawn with the
-  // exact RNG call order of serve's open-loop generator, then merged into
-  // one cluster-wide sequence. stable_sort keeps equal timestamps in
-  // stream-major order, so job ids - and therefore placement - are
-  // deterministic.
-  for (int S = 0; S < Cfg.Worker.Streams; ++S) {
-    serve::StreamGen G(Cfg.Worker.Seed, S, Templates);
-    Duration At = Cfg.Worker.Arrival.Kind == serve::ArrivalKind::Uniform
-                      ? G.initialPhase(Cfg.Worker.Arrival)
-                      : G.interarrival(Cfg.Worker.Arrival);
-    while (At <= Cfg.Worker.Horizon) {
-      const serve::JobTemplate &T = G.pickTemplate();
-      Draws.push_back(
-          {TimePoint() + At, S, static_cast<int>(&T - Templates.data())});
-      At += G.interarrival(Cfg.Worker.Arrival);
-    }
-  }
+  // Serve's open-loop load, merged into one cluster-wide sequence.
+  // stable_sort keeps equal timestamps in stream-major order, so job ids -
+  // and therefore placement - are deterministic.
+  Draws = serve::drawOpenLoopArrivals(Cfg.Worker.Seed, Cfg.Worker.Streams,
+                                      Cfg.Worker.Arrival, Cfg.Worker.Horizon,
+                                      Templates);
   std::stable_sort(Draws.begin(), Draws.end(),
-                   [](const Draw &A, const Draw &B) { return A.At < B.At; });
+                   [](const serve::Arrival &A, const serve::Arrival &B) {
+                     return A.At < B.At;
+                   });
   Jobs.resize(Draws.size());
   for (size_t I = 0; I < Draws.size(); ++I) {
     ClusterJobRecord &J = Jobs[I];
@@ -87,7 +80,7 @@ void Cluster::drawArrivals() {
   }
 }
 
-int Cluster::placeJob(const Draw &D) {
+int Cluster::placeJob(const serve::Arrival &D) {
   switch (Cfg.Place) {
   case Placement::HashAffine:
     return static_cast<int>(
@@ -111,7 +104,7 @@ int Cluster::placeJob(const Draw &D) {
   return 0;
 }
 
-void Cluster::injectDraw(uint64_t Id, const Draw &D, int WI) {
+void Cluster::injectDraw(uint64_t Id, const serve::Arrival &D, int WI) {
   Worker &W = *Workers[WI];
   Jobs[Id].FirstWorker = WI;
   Jobs[Id].Worker = WI;
@@ -292,7 +285,7 @@ ClusterReport Cluster::run() {
   std::vector<serve::ServeReport> WReps;
   WReps.reserve(Workers.size());
   for (auto &W : Workers) {
-    serve::ServeReport R = W->Eng->finishExternal();
+    serve::ServeReport R = W->Eng->finish();
     CheckErrorsN += R.CheckErrors;
     CheckWarningsN += R.CheckWarnings;
     for (const std::string &L : R.CheckDiags)
@@ -377,7 +370,8 @@ ClusterReport Cluster::finalize(const std::vector<serve::ServeReport> &WReps) {
     for (double V : E2eMs)
       if (V > Cfg.Worker.SloMs)
         ++Rep.SloViolations;
-  Rep.Validated = Cfg.Worker.Validate;
+  Rep.Validated = Cfg.Worker.Validate &&
+                  Cfg.Worker.Mode == mcl::ExecMode::Functional;
   Rep.ValidationFailures = ValidationFailuresN;
   Rep.CheckEnabled = Cfg.Worker.FclOpts.Check != check::Policy::Off;
   Rep.CheckErrors = CheckErrorsN;

@@ -103,16 +103,9 @@ private:
     std::vector<double> E2eMs;
   };
 
-  /// A pre-drawn cluster arrival.
-  struct Draw {
-    TimePoint At;
-    int Stream = 0;
-    int TemplateIdx = 0;
-  };
-
   void drawArrivals();
-  int placeJob(const Draw &D);
-  void injectDraw(uint64_t Id, const Draw &D, int W);
+  int placeJob(const serve::Arrival &D);
+  void injectDraw(uint64_t Id, const serve::Arrival &D, int W);
   void drainOutboxes();
   void stealPass(TimePoint EpochStart);
   void workerMain(Worker &W);
@@ -121,7 +114,7 @@ private:
   ClusterConfig Cfg;
   std::vector<serve::JobTemplate> Templates;
   std::vector<std::unique_ptr<Worker>> Workers;
-  std::vector<Draw> Draws;
+  std::vector<serve::Arrival> Draws;
   std::vector<ClusterJobRecord> Jobs;
   EpochBarrier Barrier;
   /// Master-only RNG for steal-transfer jitter.

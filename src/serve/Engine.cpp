@@ -25,11 +25,6 @@ Engine::Engine(EngineConfig C) : Cfg(std::move(C)) {
   Templates = jobTemplates(Cfg.Mix);
   Ctx = std::make_unique<mcl::Context>(Cfg.M, Cfg.Mode);
   Ctx->setTracer(Cfg.Tracer);
-  if (!Cfg.External) {
-    Gens.reserve(Cfg.Streams);
-    for (int S = 0; S < Cfg.Streams; ++S)
-      Gens.emplace_back(Cfg.Seed, S, Templates);
-  }
   // The threading plan for the engine is one mutex around all queue and
   // lease state: every externally-entered callback declares this section
   // and the race analyzer checks that the shared structures stay inside.
@@ -41,43 +36,6 @@ Engine::Engine(EngineConfig C) : Cfg(std::move(C)) {
 }
 
 Engine::~Engine() = default;
-
-Engine::Req *Engine::newRequest(int Stream) {
-  auto R = std::make_unique<Req>();
-  R->Id = NextId++;
-  R->Stream = Stream;
-  R->T = &Gens[Stream].pickTemplate();
-  R->Large = R->T->MaxGroups >= Cfg.LargeThreshold;
-  Req *Raw = R.get();
-  Requests.push_back(std::move(R));
-  return Raw;
-}
-
-void Engine::scheduleOpenLoopArrivals() {
-  // All arrivals are a pure function of (seed, stream): pre-drawn here and
-  // scheduled up front, in stream-major order. Equal timestamps fire in
-  // schedule order, so the whole run is deterministic.
-  sim::Simulator &Sim = Ctx->simulator();
-  for (int S = 0; S < Cfg.Streams; ++S) {
-    StreamGen &G = Gens[S];
-    Duration At = Cfg.Arrival.Kind == ArrivalKind::Uniform
-                      ? G.initialPhase(Cfg.Arrival)
-                      : G.interarrival(Cfg.Arrival);
-    while (At <= Cfg.Horizon) {
-      Req *R = newRequest(S);
-      Sim.scheduleAt(TimePoint() + At, [this, R] { onArrival(R); });
-      At += G.interarrival(Cfg.Arrival);
-    }
-  }
-}
-
-void Engine::scheduleClosedLoopNext(int Stream, Duration Delay) {
-  TimePoint At = Ctx->now() + Delay;
-  if (At - TimePoint() > Cfg.Horizon)
-    return; // The stream's session ends inside the admission window.
-  Req *R = newRequest(Stream);
-  Ctx->simulator().scheduleAt(At, [this, R] { onArrival(R); });
-}
 
 void Engine::sampleQueueDepth() {
   if (Cfg.Tracer)
@@ -100,8 +58,6 @@ void Engine::onArrival(Req *R) {
                          formatString("req %llu stream %d (%s)",
                                       static_cast<unsigned long long>(R->Id),
                                       R->Stream, R->T->W.Name.c_str()));
-    if (Cfg.Arrival.Kind == ArrivalKind::Closed && !Cfg.External)
-      scheduleClosedLoopNext(R->Stream, Gens[R->Stream].think(Cfg.Arrival));
     emitOutcome(R);
     return;
   }
@@ -361,9 +317,6 @@ void Engine::jobDone(Req *R) {
     PendingResumes.clear();
   }
 
-  if (Cfg.Arrival.Kind == ArrivalKind::Closed && !Cfg.External)
-    scheduleClosedLoopNext(R->Stream, Gens[R->Stream].think(Cfg.Arrival));
-
   emitOutcome(R);
   if (WasBackfill)
     drainResumes();
@@ -375,6 +328,7 @@ void Engine::emitOutcome(Req *R) {
     return;
   JobOutcome O;
   O.ClusterId = R->ClusterId;
+  O.Stream = R->Stream;
   O.Rejected = R->Rejected;
   O.ArrivalAt = R->ArrivalAt;
   O.StartAt = R->StartAt;
@@ -385,13 +339,11 @@ void Engine::emitOutcome(Req *R) {
 }
 
 void Engine::setOutcomeFn(std::function<void(const JobOutcome &)> Fn) {
-  FCL_CHECK(Cfg.External, "outcome hook is for embedded engines");
   Outcome = std::move(Fn);
 }
 
 void Engine::injectJob(uint64_t ClusterId, int TemplateIdx, int Stream,
                        TimePoint At) {
-  FCL_CHECK(Cfg.External, "injectJob is for embedded engines");
   FCL_CHECK(TemplateIdx >= 0 &&
                 static_cast<size_t>(TemplateIdx) < Templates.size(),
             "job template index out of range");
@@ -408,7 +360,6 @@ void Engine::injectJob(uint64_t ClusterId, int TemplateIdx, int Stream,
 }
 
 bool Engine::stealQueued(StolenJob &Out) {
-  FCL_CHECK(Cfg.External, "stealQueued is for embedded engines");
   if (Ready.empty())
     return false;
   // The master holds this engine's would-be lock (the fabric barrier is
@@ -450,32 +401,43 @@ bool Engine::quiescent() const {
 
 TimePoint Engine::now() const { return Ctx->now(); }
 
-ServeReport Engine::finishExternal() {
-  FCL_CHECK(Cfg.External, "finishExternal is for embedded engines");
-  collectAnalysis(/*IncludeRaces=*/false);
-  ServeReport Report = finalize();
-  for (auto &R : Requests)
-    R->Exec.reset();
-  return Report;
-}
-
 ServeReport Engine::run() {
-  FCL_CHECK(!Cfg.External,
-            "embedded engines are driven by the cluster master");
   if (Cfg.Races != check::Policy::Off) {
     race::Analyzer &A = race::Analyzer::instance();
     A.reset();
     A.setEnabled(true);
   }
+  // All arrivals are a pure function of (seed, stream). Equal timestamps
+  // fire in injection order, so the whole run is deterministic.
+  std::vector<StreamGen> Gens;
   if (Cfg.Arrival.Kind == ArrivalKind::Closed) {
+    // Each stream keeps one request outstanding: its outcome (completion
+    // or rejection) re-arms it after a think time, until the horizon.
     for (int S = 0; S < Cfg.Streams; ++S)
-      scheduleClosedLoopNext(S, Gens[S].initialPhase(Cfg.Arrival));
+      Gens.emplace_back(Cfg.Seed, S, Templates);
+    auto Next = [this, &Gens](int S, Duration Delay) {
+      TimePoint At = Ctx->now() + Delay;
+      if (At - TimePoint() <= Cfg.Horizon)
+        injectJob(0, Gens[S].pickIndex(), S, At);
+    };
+    setOutcomeFn([this, &Gens, Next](const JobOutcome &O) {
+      Next(O.Stream, Gens[O.Stream].think(Cfg.Arrival));
+    });
+    for (int S = 0; S < Cfg.Streams; ++S)
+      Next(S, Gens[S].initialPhase(Cfg.Arrival));
   } else {
-    scheduleOpenLoopArrivals();
+    for (const Arrival &A : drawOpenLoopArrivals(
+             Cfg.Seed, Cfg.Streams, Cfg.Arrival, Cfg.Horizon, Templates))
+      injectJob(0, A.TemplateIdx, A.Stream, A.At);
   }
   // Drain everything: arrivals, jobs, trailing cooperative transfers.
   Ctx->simulator().run();
-  collectAnalysis(/*IncludeRaces=*/true);
+  Outcome = nullptr;
+  return finish();
+}
+
+ServeReport Engine::finish() {
+  collectAnalysis();
   ServeReport Report = finalize();
   // Tear down executors only now, at top level: cooperative runtimes
   // FCL_CHECK their queues idle on destruction.
@@ -484,7 +446,7 @@ ServeReport Engine::run() {
   return Report;
 }
 
-void Engine::collectAnalysis(bool IncludeRaces) {
+void Engine::collectAnalysis() {
   if (Cfg.FclOpts.Check != check::Policy::Off) {
     for (auto &R : Requests) {
       fluidicl::Runtime *RT = R->Exec ? R->Exec->fclRuntime() : nullptr;
@@ -501,7 +463,7 @@ void Engine::collectAnalysis(bool IncludeRaces) {
         CheckDiagLines.push_back(D.str());
     }
   }
-  if (IncludeRaces && Cfg.Races != check::Policy::Off) {
+  if (Cfg.Races != check::Policy::Off) {
     race::Analyzer &A = race::Analyzer::instance();
     A.setEnabled(false);
     check::DiagSink Sink(check::Policy::Warn);

@@ -18,6 +18,12 @@
 /// engine slots whole short jobs into those yield windows ("backfill") and
 /// resumes the cooperative CPU side when they finish.
 ///
+/// Every job enters through injectJob. run() is a thin driver over it: it
+/// injects the pre-drawn open-loop arrivals, or re-arms each closed-loop
+/// stream from the outcome hook, then drains the simulator and calls
+/// finish(). The cluster master (cluster/Cluster.h) drives the same calls
+/// itself, in epoch quanta.
+///
 /// Everything runs as completion callbacks on the deterministic simulator:
 /// same seed, same configuration => byte-identical report JSON.
 ///
@@ -79,11 +85,6 @@ struct EngineConfig {
   double SloMs = 0;
   /// Optional tracer: serve lanes + queue-depth counter track.
   trace::Tracer *Tracer = nullptr;
-  /// Embedded (cluster) mode: the engine admits only jobs injected by a
-  /// cluster master (injectJob), which also drives the simulator clock in
-  /// epoch quanta (advanceTo) and collects results via the outcome hook.
-  /// run() must not be called; the master calls finishExternal() instead.
-  bool External = false;
 };
 
 /// What the cluster master needs to re-inject a stolen queued job into
@@ -94,11 +95,12 @@ struct StolenJob {
   int Stream = 0;
 };
 
-/// Completion/rejection record handed to the cluster master's outcome
-/// hook. Fired on the worker's thread inside the engine's would-be lock;
-/// the hook must only touch that worker's own outbox.
+/// Completion/rejection record handed to the outcome hook. Fired inside
+/// the engine's would-be lock (on a cluster worker's own thread); the hook
+/// may inject further jobs but must touch no other engine's state.
 struct JobOutcome {
   uint64_t ClusterId = 0;
+  int Stream = 0;
   bool Rejected = false;
   TimePoint ArrivalAt;
   TimePoint StartAt;
@@ -113,22 +115,24 @@ public:
   explicit Engine(EngineConfig Cfg);
   ~Engine();
 
-  /// Generates the load, runs the simulation to completion and returns
-  /// the aggregate report. Self-driving mode only (not External).
+  /// Draws the configured load, injects it, runs the simulation to
+  /// completion and returns finish()'s report. Arms the race analyzer when
+  /// Cfg.Races asks for it. run() owns the outcome hook: closed loops
+  /// re-arm their streams from it.
   ServeReport run();
 
-  // --- Embedded (cluster) operation: External mode only ------------------
+  // --- Driving the engine step by step (cluster workers) ------------------
   //
-  // The master owns all engine state between epochs (workers parked at
-  // the fabric barrier) and each worker owns its engine while its epoch
-  // quantum runs; these calls are made from whichever side currently
-  // holds ownership, never concurrently.
+  // The cluster master owns all engine state between epochs (workers
+  // parked at the fabric barrier) and each worker owns its engine while
+  // its epoch quantum runs; these calls are made from whichever side
+  // currently holds ownership, never concurrently.
 
-  /// Installs the completion/rejection hook. Call once, before any
-  /// injectJob.
+  /// Installs the completion/rejection hook. Call before any injectJob.
   void setOutcomeFn(std::function<void(const JobOutcome &)> Fn);
-  /// Admits a cluster job: schedules its arrival at \p At on this
-  /// engine's simulator. \p TemplateIdx indexes jobTemplates(Cfg.Mix).
+  /// Admits a job: schedules its arrival at \p At on this engine's
+  /// simulator. \p TemplateIdx indexes templates(); \p ClusterId is
+  /// echoed back in the job's outcome and in stealQueued.
   void injectJob(uint64_t ClusterId, int TemplateIdx, int Stream,
                  TimePoint At);
   /// Removes the newest still-queued request for migration to another
@@ -150,9 +154,10 @@ public:
   /// The engine's would-be-lock section name (fcl::race): the master
   /// enters it around barrier-time mutations of this engine's state.
   const std::string &raceSectionName() const { return RaceSec; }
-  /// Cluster-mode teardown: drains check diagnostics and builds this
-  /// worker's report (race findings are collected once, by the cluster).
-  ServeReport finishExternal();
+  /// Teardown, once the simulator is drained: collects check diagnostics
+  /// (and race findings when Cfg.Races is on), builds the report and tears
+  /// down the job executors.
+  ServeReport finish();
 
 private:
   struct Req {
@@ -167,7 +172,6 @@ private:
     bool Done = false;
     const char *Placement = "";
     std::unique_ptr<JobExec> Exec;
-    /// Cluster (External) bookkeeping.
     uint64_t ClusterId = 0;
     int TemplateIdx = -1;
     /// Migrated away by stealQueued: excluded from local latency and
@@ -175,9 +179,6 @@ private:
     bool Stolen = false;
   };
 
-  Req *newRequest(int Stream);
-  void scheduleOpenLoopArrivals();
-  void scheduleClosedLoopNext(int Stream, Duration Delay);
   void onArrival(Req *R);
   void dispatch();
   void startCoop(Req *R);
@@ -197,18 +198,16 @@ private:
   Req *takeFirst(bool WantLarge);
   Req *popHead();
   void sampleQueueDepth();
-  /// Drains per-job runtime check diagnostics and (unless the cluster
-  /// collects them centrally) fcl::race findings into the aggregate
-  /// members below (called after the simulator is idle, before executors
-  /// are torn down).
-  void collectAnalysis(bool IncludeRaces);
+  /// Drains per-job runtime check diagnostics and (when Cfg.Races is on)
+  /// fcl::race findings into the aggregate members below (called after
+  /// the simulator is idle, before executors are torn down).
+  void collectAnalysis();
   void emitOutcome(Req *R);
   ServeReport finalize();
 
   EngineConfig Cfg;
   std::vector<JobTemplate> Templates;
   std::unique_ptr<mcl::Context> Ctx;
-  std::vector<StreamGen> Gens;
   std::vector<std::unique_ptr<Req>> Requests;
   std::deque<Req *> Ready;
 

@@ -199,3 +199,20 @@ Duration StreamGen::initialPhase(const ArrivalSpec &A) {
                       : 1.0 / A.RatePerSec;
   return Duration::seconds(R.nextDouble() * Window);
 }
+
+std::vector<Arrival> fcl::serve::drawOpenLoopArrivals(
+    uint64_t Seed, int Streams, const ArrivalSpec &A, Duration Horizon,
+    const std::vector<JobTemplate> &Templates) {
+  FCL_CHECK(A.Kind != ArrivalKind::Closed, "closed loops draw per outcome");
+  std::vector<Arrival> Out;
+  for (int S = 0; S < Streams; ++S) {
+    StreamGen G(Seed, S, Templates);
+    Duration At = A.Kind == ArrivalKind::Uniform ? G.initialPhase(A)
+                                                 : G.interarrival(A);
+    while (At <= Horizon) {
+      Out.push_back({TimePoint() + At, S, G.pickIndex()});
+      At += G.interarrival(A);
+    }
+  }
+  return Out;
+}

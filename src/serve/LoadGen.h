@@ -85,13 +85,14 @@ public:
   StreamGen(uint64_t Seed, int Stream, const std::vector<JobTemplate> &Templs)
       : R(mixSeed(Seed, Stream)), Templates(&Templs) {}
 
-  /// Next job template for this stream (uniform over the table).
-  const JobTemplate &pickTemplate() {
+  /// Table index of this stream's next job template (uniform draw).
+  int pickIndex() {
     // nextBelow(0) would be a modulo-by-zero; fail loud instead of UB.
     FCL_CHECK(!Templates->empty(),
               "stream has no job templates to draw from");
-    return (*Templates)[R.nextBelow(Templates->size())];
+    return static_cast<int>(R.nextBelow(Templates->size()));
   }
+  const JobTemplate &pickTemplate() { return (*Templates)[pickIndex()]; }
 
   /// Next open-loop interarrival / closed-loop think draw.
   Duration interarrival(const ArrivalSpec &A);
@@ -105,6 +106,23 @@ private:
   Rng R;
   const std::vector<JobTemplate> *Templates;
 };
+
+/// One pre-drawn open-loop arrival.
+struct Arrival {
+  TimePoint At;
+  int Stream = 0;
+  /// Index into the template table the arrivals were drawn from.
+  int TemplateIdx = 0;
+};
+
+/// Every open-loop arrival of streams [0, \p Streams) up to \p Horizon, in
+/// stream-major order. Per stream the draws are: the initial phase
+/// (uniform) or first interarrival (Poisson), then per arrival a template
+/// pick and the next interarrival. serve::Engine::run and the cluster
+/// master both draw their load here, so one seed gives one load in both.
+std::vector<Arrival> drawOpenLoopArrivals(
+    uint64_t Seed, int Streams, const ArrivalSpec &A, Duration Horizon,
+    const std::vector<JobTemplate> &Templates);
 
 } // namespace serve
 } // namespace fcl

@@ -105,6 +105,17 @@ TEST(ClusterTest, SameSeedSameBytesAcrossRuns) {
   }
 }
 
+TEST(ClusterTest, TimingOnlyRunIsNotReportedValidated) {
+  // Validation needs functional execution; like a serve report, a
+  // TimingOnly cluster run with Validate set must not claim it validated.
+  ClusterConfig Cfg = baseConfig(2);
+  Cfg.Worker.Validate = true;
+  ASSERT_EQ(Cfg.Worker.Mode, mcl::ExecMode::TimingOnly);
+  ClusterReport R = Cluster(Cfg).run();
+  EXPECT_FALSE(R.Validated);
+  EXPECT_NE(R.toJson().find("\"validated\": false"), std::string::npos);
+}
+
 TEST(ClusterTest, HashAffinePinsStreamsToWorkers) {
   ClusterConfig Cfg = baseConfig(4);
   Cfg.Place = Placement::HashAffine;

@@ -119,6 +119,35 @@ TEST(LoadGenTest, PipelineMixCarriesDagTemplates) {
     EXPECT_EQ(T.Dag, nullptr);
 }
 
+TEST(LoadGenTest, OpenLoopDrawIsStreamMajorWithinHorizon) {
+  std::vector<JobTemplate> Templs = jobTemplates(MixKind::Mixed);
+  ArrivalSpec Spec{ArrivalKind::Poisson, 400, Duration::milliseconds(5)};
+  Duration Horizon = Duration::milliseconds(50);
+  std::vector<Arrival> A = drawOpenLoopArrivals(7, 4, Spec, Horizon, Templs);
+  ASSERT_FALSE(A.empty());
+  for (size_t I = 0; I < A.size(); ++I) {
+    EXPECT_LE(A[I].At - TimePoint(), Horizon);
+    EXPECT_GE(A[I].TemplateIdx, 0);
+    EXPECT_LT(static_cast<size_t>(A[I].TemplateIdx), Templs.size());
+    if (I > 0) {
+      EXPECT_GE(A[I].Stream, A[I - 1].Stream);
+      if (A[I].Stream == A[I - 1].Stream) {
+        EXPECT_GT(A[I].At, A[I - 1].At);
+      }
+    }
+  }
+  EXPECT_EQ(A.back().Stream, 3);
+  // Same draws as a hand-driven StreamGen: first interarrival, then a
+  // template pick and the next interarrival per arrival.
+  StreamGen G(7, 0, Templs);
+  Duration At = G.interarrival(Spec);
+  for (size_t I = 0; I < A.size() && A[I].Stream == 0; ++I) {
+    EXPECT_EQ(A[I].At, TimePoint() + At);
+    EXPECT_EQ(A[I].TemplateIdx, G.pickIndex());
+    At += G.interarrival(Spec);
+  }
+}
+
 TEST(LoadGenDeathTest, PickTemplateWithNoTemplatesFailsLoud) {
   // nextBelow(0) would be modulo-by-zero UB; the generator must abort with
   // a diagnostic instead of returning garbage.
@@ -140,13 +169,47 @@ TEST(MetricsTest, LatencySummaryNearestRank) {
 }
 
 TEST(ServeEngineTest, SameSeedSameConfigByteIdenticalJson) {
+  // Poisson and uniform open loops, plus a closed loop whose queue is so
+  // shallow that rejections re-arm streams as often as completions do.
+  ArrivalSpec Uniform{ArrivalKind::Uniform, 300, Duration::milliseconds(5)};
+  ArrivalSpec Closed{ArrivalKind::Closed, 0, Duration::microseconds(500)};
   for (Policy P :
        {Policy::FifoExclusive, Policy::DeviceAffine, Policy::FluidicCorun}) {
-    ServeReport A = runServe(baseConfig(P));
-    ServeReport B = runServe(baseConfig(P));
-    EXPECT_EQ(A.toJson(), B.toJson()) << "policy " << policyName(P);
-    EXPECT_EQ(A.toCsv(), B.toCsv()) << "policy " << policyName(P);
+    EngineConfig Poisson = baseConfig(P);
+    EngineConfig Uni = baseConfig(P);
+    Uni.Arrival = Uniform;
+    EngineConfig Rejecting = baseConfig(P);
+    Rejecting.Arrival = Closed;
+    Rejecting.QueueDepth = 2;
+    for (const EngineConfig &Cfg : {Poisson, Uni, Rejecting}) {
+      std::string Label =
+          std::string(policyName(P)) + " " + Cfg.Arrival.str();
+      ServeReport A = runServe(Cfg);
+      ServeReport B = runServe(Cfg);
+      EXPECT_EQ(A.toJson(), B.toJson()) << Label;
+      EXPECT_EQ(A.toCsv(), B.toCsv()) << Label;
+      if (Cfg.QueueDepth == 2) {
+        EXPECT_GT(A.Rejected, 0u) << Label;
+      }
+    }
   }
+}
+
+// run() is a thin driver over the step API: injecting the same open-loop
+// draw by hand and pumping the clock in 1 ms quanta gives the same bytes.
+TEST(ServeEngineTest, InjectedLoadMatchesRun) {
+  EngineConfig Cfg = baseConfig(Policy::FluidicCorun);
+  std::string Driven = runServe(Cfg).toJson();
+  Engine E(Cfg);
+  for (const Arrival &A : drawOpenLoopArrivals(
+           Cfg.Seed, Cfg.Streams, Cfg.Arrival, Cfg.Horizon, E.templates()))
+    E.injectJob(0, A.TemplateIdx, A.Stream, A.At);
+  TimePoint Deadline;
+  while (!E.quiescent()) {
+    Deadline = Deadline + Duration::milliseconds(1);
+    E.advanceTo(Deadline);
+  }
+  EXPECT_EQ(E.finish().toJson(), Driven);
 }
 
 TEST(ServeEngineTest, SeedChangesTheRun) {

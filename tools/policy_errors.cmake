@@ -1,8 +1,9 @@
-# Error-path gate for policy-ish enum options: the serving tools must
-# reject an unknown --policy / --placement / --dag-placement value with a
-# single-line stderr diagnostic naming the bad value and the accepted
-# set, and a non-zero (usage) exit - not a crash, not a silent fallback
-# to the default. Invoked by ctest as
+# Error-path gate for policy-ish enum options and bounded numeric options:
+# the serving tools must reject an unknown --policy / --placement /
+# --dag-placement value, and an out-of-range or non-numeric --queue-depth /
+# --threshold / --link-us value, with a single-line stderr diagnostic
+# naming the bad value and the accepted set, and the usage exit code 1 -
+# not a crash, not a silent fallback to the default. Invoked by ctest as
 #
 #   cmake -DSERVE=<fluidicl_serve> -DCLUSTER=<fluidicl_cluster>
 #         -P policy_errors.cmake
@@ -14,7 +15,8 @@ foreach(V SERVE CLUSTER)
 endforeach()
 
 # expect_policy_error(<tool> <diagnostic regex> <args...>): the tool must
-# exit non-zero and print exactly one stderr line matching the regex.
+# exit with the usage code 1 and print exactly one stderr line matching the
+# regex.
 function(expect_policy_error TOOL PATTERN)
   execute_process(
     COMMAND "${TOOL}" ${ARGN}
@@ -22,8 +24,8 @@ function(expect_policy_error TOOL PATTERN)
     OUTPUT_QUIET
     ERROR_VARIABLE ERR)
   get_filename_component(NAME "${TOOL}" NAME)
-  if(RC EQUAL 0)
-    message(FATAL_ERROR "${NAME} ${ARGN} succeeded (exit 0)")
+  if(NOT RC STREQUAL "1")
+    message(FATAL_ERROR "${NAME} ${ARGN} exited with '${RC}', not 1")
   endif()
   if(NOT ERR MATCHES "${PATTERN}")
     message(FATAL_ERROR
@@ -50,5 +52,17 @@ expect_policy_error("${CLUSTER}" "unknown --placement 'nosuch'"
 expect_policy_error("${CLUSTER}" "unknown --dag-placement 'nosuch'"
                     --workers=2 ${SHORT} --dag-placement=nosuch)
 
+foreach(TOOL "${SERVE}" "${CLUSTER}")
+  expect_policy_error("${TOOL}" "bad --queue-depth value '0'"
+                      ${SHORT} --queue-depth=0)
+  expect_policy_error("${TOOL}" "bad --queue-depth value 'abc'"
+                      ${SHORT} --queue-depth=abc)
+  expect_policy_error("${TOOL}" "bad --threshold value '-1'"
+                      ${SHORT} --threshold=-1)
+endforeach()
+expect_policy_error("${CLUSTER}" "bad --link-us value '-5'"
+                    --workers=2 ${SHORT} --link-us=-5)
+
 message(STATUS
-        "both serving tools reject unknown policy/placement values cleanly")
+        "both serving tools reject bad policy/placement/numeric values "
+        "cleanly")
