@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Report-identity A/B gate for the serving tools: builds fluidicl_serve and
-# fluidicl_cluster at <base-rev> and from the current checkout, runs both
-# over a fixed 29-configuration matrix (19 serve, 10 cluster) and compares
-# report JSON, per-request/per-job CSV, Chrome trace, stdout (minus the
-# "written to <path>" lines) and exit code byte for byte. Any difference
-# fails the gate: refactors that claim unchanged behaviour must leave
-# every one of these outputs identical.
+# Report-identity A/B gate for the report-writing tools: builds
+# fluidicl_sim, fluidicl_serve and fluidicl_cluster at <base-rev> and from
+# the current checkout, runs them over a fixed 32-configuration matrix
+# (3 sim, 19 serve, 10 cluster) and compares report JSON, CSV, Chrome
+# trace, stdout (minus the "written to <path>" lines) and exit code byte
+# for byte. Any difference fails the gate: refactors that claim unchanged
+# behaviour must leave every one of these outputs identical.
 #
 # Usage: scripts/report_identity.sh <base-rev>
 #
@@ -44,8 +44,8 @@ git -C "$REPO" archive "$BASE_REV" | tar -x -C "$WORK/base-src" || {
 build() { # <source dir> <build dir>
   cmake -S "$1" -B "$2" "${GEN[@]}" -DCMAKE_BUILD_TYPE=Release \
     > "$2.log" 2>&1 &&
-    cmake --build "$2" -j "$JOBS" --target fluidicl_serve fluidicl_cluster \
-      >> "$2.log" 2>&1 || {
+    cmake --build "$2" -j "$JOBS" --target fluidicl_sim fluidicl_serve \
+      fluidicl_cluster >> "$2.log" 2>&1 || {
     echo "error: build of $1 failed (see $2.log)" >&2
     exit 2
   }
@@ -55,6 +55,12 @@ build "$WORK/base-src" "$WORK/base-build"
 build "$REPO" "$WORK/head-build"
 
 CONFIGS=()
+# Sim: a single run (bare fcl-run-report-v1, --stats summary on stdout),
+# every runtime over the paper suite (the fcl-run-report-set-v1 wrapper)
+# and a functional run with both analyzers armed.
+CONFIGS+=("sim --workload=syrk --runtime=fluidicl --stats")
+CONFIGS+=("sim --workload=paper --runtime=all")
+CONFIGS+=("sim --workload=syrk --size=128 --runtime=fluidicl --functional --check=fail --races=fail")
 # Serve: every policy under both open-loop kinds and two closed loops.
 for p in fifo affine corun; do
   for a in poisson:400 uniform:300 closed:1 closed:0.2; do
@@ -89,7 +95,11 @@ CONFIGS+=("cluster --mix=pipeline --workers=2 --streams=4 --arrival=poisson:200 
 run() { # <build dir> <out dir> <tool> <args...>
   local Bin=$1 Out=$2 Tool=$3 Csv
   shift 3
-  [ "$Tool" = serve ] && Csv=--requests-csv || Csv=--jobs-csv
+  case $Tool in
+  sim) Csv=--stats-csv ;;
+  serve) Csv=--requests-csv ;;
+  *) Csv=--jobs-csv ;;
+  esac
   mkdir -p "$Out"
   local Rc=0
   "$Bin/tools/fluidicl_$Tool" "$@" --stats-json="$Out/report.json" \

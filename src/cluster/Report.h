@@ -10,9 +10,9 @@
 /// transfer latency is part of its queue wait), per-worker utilization and
 /// steal/placement counters, and the fabric's epoch/message totals.
 ///
-/// Serializes to a deterministic JSON document ("fcl-cluster-report-v1"):
-/// map-ordered keys and fixed %.6f float formatting, exactly like the
-/// serve report, so the CI determinism gates can byte-diff two same-seed
+/// Serializes to a deterministic JSON document ("fcl-cluster-report-v1")
+/// through support/JsonWriter, with the serve report's latency objects and
+/// verdict tail, so the CI determinism gates can byte-diff two same-seed
 /// runs at any worker count.
 ///
 //===----------------------------------------------------------------------===//
@@ -21,7 +21,6 @@
 #define FCL_CLUSTER_REPORT_H
 
 #include "serve/Metrics.h"
-#include "stats/Registry.h"
 #include "support/SimTime.h"
 
 #include <cstdint>
@@ -71,8 +70,11 @@ struct ClusterJobRecord {
   double e2eMs() const { return (EndAt - ArrivalAt).toMillis(); }
 };
 
-/// Aggregate outcome of one cluster run.
-struct ClusterReport {
+/// Aggregate outcome of one cluster run. The verdicts bind to cluster e2e
+/// latency and sum validation over workers; the Stats mirror's per-worker
+/// gauges use zero-padded indices so the lexicographic map order matches
+/// worker order.
+struct ClusterReport : serve::Verdicts {
   // Configuration echo.
   int Workers = 0;
   std::string PlacementName;
@@ -111,30 +113,6 @@ struct ClusterReport {
   uint64_t RebalanceEpochs = 0; // Epochs in which at least one steal ran.
 
   std::vector<WorkerSummary> PerWorker;
-
-  // SLO verdict (when an SLO was given); binds to cluster e2e.
-  bool SloChecked = false;
-  double SloMs = 0;
-  uint64_t SloViolations = 0;
-
-  // Functional-mode validation (summed over workers).
-  bool Validated = false;
-  uint64_t ValidationFailures = 0;
-
-  // fcl::check / fcl::race outcome. As in the serve report, the JSON
-  // emits these objects only when diagnostics exist, so a clean analyzed
-  // run serializes to the exact bytes of an unanalyzed one.
-  bool CheckEnabled = false;
-  uint64_t CheckErrors = 0;
-  uint64_t CheckWarnings = 0;
-  std::vector<std::string> CheckDiags;
-  bool RacesEnabled = false;
-  uint64_t RaceFindings = 0;
-  std::vector<std::string> RaceDiags;
-
-  /// Counter/gauge mirror (per-worker gauges use zero-padded indices so
-  /// the lexicographic map order matches worker order).
-  stats::Registry Stats;
 
   /// Every job in cluster submission order (rejected ones included).
   std::vector<ClusterJobRecord> Jobs;

@@ -6,9 +6,8 @@
 
 #include "prof/BenchReport.h"
 
-#include "support/Format.h"
-
-#include <fstream>
+#include "support/File.h"
+#include "support/JsonWriter.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -38,57 +37,29 @@ void BenchReport::attachProfile(const Snapshot &S, size_t N) {
 }
 
 std::string BenchReport::toJson() const {
-  std::string Out = "{\n";
-  Out += "  \"schema\": \"fcl-bench-report-v1\",\n";
-  Out += formatString("  \"name\": \"%s\",\n", jsonEscape(Name).c_str());
-  Out += formatString("  \"suite\": \"%s\",\n", jsonEscape(Suite).c_str());
-  Out += "  \"meta\": {";
-  bool First = true;
-  for (const auto &[K, V] : Meta) {
-    Out += formatString("%s\n    \"%s\": \"%s\"", First ? "" : ",",
-                        jsonEscape(K).c_str(), jsonEscape(V).c_str());
-    First = false;
-  }
-  Out += First ? "},\n" : "\n  },\n";
-  Out += "  \"metrics\": {";
-  First = true;
-  for (const auto &[K, V] : Metrics) {
-    Out += formatString("%s\n    \"%s\": %.9g", First ? "" : ",",
-                        jsonEscape(K).c_str(), V);
-    First = false;
-  }
-  Out += First ? "},\n" : "\n  },\n";
-  Out += formatString("  \"peak_rss_bytes\": %llu,\n",
-                      static_cast<unsigned long long>(PeakRss));
-  Out += "  \"profile\": [";
-  First = true;
+  JsonWriter W;
+  W.beginObject();
+  W.key("schema").value("fcl-bench-report-v1");
+  W.key("name").value(Name);
+  W.key("suite").value(Suite);
+  W.members("meta", Meta);
+  W.members("metrics", Metrics, "%.9g");
+  W.key("peak_rss_bytes").value(PeakRss);
+  W.key("profile").beginArray();
   for (const PhaseStats &P : Profile) {
-    Out += formatString(
-        "%s\n    {\"path\": \"%s\", \"count\": %llu, "
-        "\"inclusive_ms\": %.6f, \"exclusive_ms\": %.6f}",
-        First ? "" : ",", jsonEscape(P.Path).c_str(),
-        static_cast<unsigned long long>(P.Count), P.inclusiveMs(),
-        P.exclusiveMs());
-    First = false;
+    W.beginObject(JsonWriter::Layout::Inline);
+    W.key("path").value(P.Path);
+    W.key("count").value(P.Count);
+    W.key("inclusive_ms").value(P.inclusiveMs());
+    W.key("exclusive_ms").value(P.exclusiveMs());
+    W.end();
   }
-  Out += First ? "],\n" : "\n  ],\n";
-  Out += "  \"counters\": {";
-  First = true;
-  for (const auto &[K, V] : Counters) {
-    Out += formatString("%s\n    \"%s\": %llu", First ? "" : ",",
-                        jsonEscape(K).c_str(),
-                        static_cast<unsigned long long>(V));
-    First = false;
-  }
-  Out += First ? "}\n" : "\n  }\n";
-  Out += "}\n";
-  return Out;
+  W.end();
+  W.members("counters", Counters);
+  W.end();
+  return W.str();
 }
 
 bool BenchReport::write(const std::string &Path) const {
-  std::ofstream F(Path, std::ios::binary);
-  if (!F)
-    return false;
-  F << toJson();
-  return static_cast<bool>(F);
+  return writeFile(Path, toJson());
 }

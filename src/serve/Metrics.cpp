@@ -7,6 +7,7 @@
 #include "serve/Metrics.h"
 
 #include "support/Format.h"
+#include "support/JsonWriter.h"
 #include "support/Statistics.h"
 
 using namespace fcl;
@@ -25,165 +26,130 @@ LatencySummary fcl::serve::summarizeLatency(
   return S;
 }
 
-namespace {
-
-// All floats go through one fixed format so identical runs serialize to
-// identical bytes.
-std::string num(double V) { return formatString("%.6f", V); }
-
-std::string latencyJson(const LatencySummary &S) {
-  return formatString(
-      "{\"p50\": %s, \"p95\": %s, \"p99\": %s, \"mean\": %s, \"max\": %s}",
-      num(S.P50).c_str(), num(S.P95).c_str(), num(S.P99).c_str(),
-      num(S.Mean).c_str(), num(S.Max).c_str());
+void fcl::serve::writeLatencyJson(JsonWriter &W, const LatencySummary &S) {
+  W.beginObject(JsonWriter::Layout::Inline);
+  W.key("p50").value(S.P50);
+  W.key("p95").value(S.P95);
+  W.key("p99").value(S.P99);
+  W.key("mean").value(S.Mean);
+  W.key("max").value(S.Max);
+  W.end();
 }
 
-} // namespace
+std::string fcl::serve::latencyRow(const char *Name,
+                                   const LatencySummary &S) {
+  return formatString(
+      "  %-11s p50 %9.3f  p95 %9.3f  p99 %9.3f  mean %9.3f  max %9.3f\n",
+      Name, S.P50, S.P95, S.P99, S.Mean, S.Max);
+}
+
+void fcl::serve::writeVerdictsJson(JsonWriter &W, const Verdicts &V,
+                                   const std::function<void()> &Extra) {
+  W.key("slo").beginObject();
+  W.key("checked").value(V.SloChecked);
+  W.key("slo_ms").value(V.SloMs);
+  W.key("violations").value(V.SloViolations);
+  W.end();
+  W.key("validation").beginObject();
+  W.key("validated").value(V.Validated);
+  W.key("failures").value(V.ValidationFailures);
+  W.end();
+  if (Extra)
+    Extra();
+  auto Diags = [&W](const std::vector<std::string> &Lines) {
+    W.key("diags").beginArray();
+    for (const std::string &L : Lines)
+      W.value(L);
+    W.end();
+  };
+  // Analysis objects only when something was found (see Verdicts).
+  if (!V.CheckDiags.empty()) {
+    W.key("check").beginObject();
+    W.key("errors").value(V.CheckErrors);
+    W.key("warnings").value(V.CheckWarnings);
+    Diags(V.CheckDiags);
+    W.end();
+  }
+  if (!V.RaceDiags.empty()) {
+    W.key("races").beginObject();
+    W.key("findings").value(V.RaceFindings);
+    Diags(V.RaceDiags);
+    W.end();
+  }
+  // std::map iteration gives lexicographic, i.e. deterministic, key order.
+  W.key("stats").beginObject();
+  W.members("counters", V.Stats.counters());
+  W.members("gauges", V.Stats.gauges());
+  W.end();
+}
 
 std::string ServeReport::toJson() const {
-  std::string J;
-  J += "{\n";
-  J += "  \"schema\": \"fcl-serve-report-v1\",\n";
-  J += formatString("  \"policy\": \"%s\",\n", jsonEscape(PolicyName).c_str());
-  J += formatString("  \"arrival\": \"%s\",\n",
-                    jsonEscape(ArrivalDesc).c_str());
-  J += formatString("  \"mix\": \"%s\",\n", jsonEscape(Mix).c_str());
-  J += formatString("  \"machine\": \"%s\",\n", jsonEscape(Machine).c_str());
-  J += formatString("  \"seed\": %llu,\n",
-                    static_cast<unsigned long long>(Seed));
-  J += formatString("  \"streams\": %d,\n", Streams);
-  J += formatString("  \"queue_depth\": %d,\n", QueueDepth);
-  J += formatString("  \"large_threshold_groups\": %llu,\n",
-                    static_cast<unsigned long long>(LargeThreshold));
-  J += formatString("  \"horizon_ms\": %s,\n", num(HorizonMs).c_str());
-  J += formatString("  \"submitted\": %llu,\n",
-                    static_cast<unsigned long long>(Submitted));
-  J += formatString("  \"rejected\": %llu,\n",
-                    static_cast<unsigned long long>(Rejected));
-  J += formatString("  \"completed\": %llu,\n",
-                    static_cast<unsigned long long>(Completed));
-  J += "  \"latency_ms\": {\n";
-  J += formatString("    \"queue_wait\": %s,\n",
-                    latencyJson(QueueWait).c_str());
-  J += formatString("    \"service\": %s,\n", latencyJson(Service).c_str());
-  J += formatString("    \"e2e\": %s\n", latencyJson(E2e).c_str());
-  J += "  },\n";
-  J += "  \"per_class\": {\n";
-  J += formatString("    \"small\": {\"completed\": %llu, \"e2e\": %s},\n",
-                    static_cast<unsigned long long>(SmallCompleted),
-                    latencyJson(SmallE2e).c_str());
-  J += formatString("    \"large\": {\"completed\": %llu, \"e2e\": %s}\n",
-                    static_cast<unsigned long long>(LargeCompleted),
-                    latencyJson(LargeE2e).c_str());
-  J += "  },\n";
-  J += formatString("  \"makespan_ms\": %s,\n", num(MakespanMs).c_str());
-  J += formatString("  \"throughput_rps\": %s,\n",
-                    num(ThroughputRps).c_str());
-  J += "  \"occupancy\": {\n";
-  J += formatString("    \"gpu_busy_ms\": %s,\n", num(GpuBusyMs).c_str());
-  J += formatString("    \"cpu_busy_ms\": %s,\n", num(CpuBusyMs).c_str());
-  J += formatString("    \"corun_cpu_ms\": %s,\n", num(CorunCpuMs).c_str());
-  J += formatString("    \"gpu_util\": %s,\n", num(GpuUtil).c_str());
-  J += formatString("    \"cpu_util\": %s\n", num(CpuUtil).c_str());
-  J += "  },\n";
-  J += "  \"placement\": {\n";
-  J += formatString("    \"coop_jobs\": %llu,\n",
-                    static_cast<unsigned long long>(CoopJobs));
-  J += formatString("    \"gpu_jobs\": %llu,\n",
-                    static_cast<unsigned long long>(GpuJobs));
-  J += formatString("    \"cpu_jobs\": %llu,\n",
-                    static_cast<unsigned long long>(CpuJobs));
-  J += formatString("    \"backfill_jobs\": %llu,\n",
-                    static_cast<unsigned long long>(BackfillJobs));
-  J += formatString("    \"chunk_yields\": %llu\n",
-                    static_cast<unsigned long long>(ChunkYields));
-  J += "  },\n";
-  J += "  \"slo\": {\n";
-  J += formatString("    \"checked\": %s,\n", SloChecked ? "true" : "false");
-  J += formatString("    \"slo_ms\": %s,\n", num(SloMs).c_str());
-  J += formatString("    \"violations\": %llu\n",
-                    static_cast<unsigned long long>(SloViolations));
-  J += "  },\n";
-  J += "  \"validation\": {\n";
-  J += formatString("    \"validated\": %s,\n", Validated ? "true" : "false");
-  J += formatString("    \"failures\": %llu\n",
-                    static_cast<unsigned long long>(ValidationFailures));
-  J += "  },\n";
-  // Compound-job accounting only when DAG jobs ran: plain mixes keep their
-  // pre-dag bytes.
-  if (DagJobs) {
-    J += "  \"dag\": {\n";
-    J += formatString("    \"placement\": \"%s\",\n",
-                      jsonEscape(DagPlacement).c_str());
-    J += formatString("    \"jobs\": %llu,\n",
-                      static_cast<unsigned long long>(DagJobs));
-    J += formatString("    \"nodes\": %llu,\n",
-                      static_cast<unsigned long long>(DagNodes));
-    J += formatString("    \"gpu_nodes\": %llu,\n",
-                      static_cast<unsigned long long>(DagGpuNodes));
-    J += formatString("    \"cpu_nodes\": %llu,\n",
-                      static_cast<unsigned long long>(DagCpuNodes));
-    J += formatString("    \"transfers\": %llu,\n",
-                      static_cast<unsigned long long>(DagTransfers));
-    J += formatString("    \"transfer_bytes\": %llu,\n",
-                      static_cast<unsigned long long>(DagTransferBytes));
-    J += formatString("    \"pcie_bytes\": %llu,\n",
-                      static_cast<unsigned long long>(DagPcieBytes));
-    J += formatString("    \"transfers_skipped\": %llu,\n",
-                      static_cast<unsigned long long>(DagTransfersSkipped));
-    J += formatString("    \"bytes_saved\": %llu\n",
-                      static_cast<unsigned long long>(DagBytesSaved));
-    J += "  },\n";
-  }
-  // Analysis verdicts appear only when something was found: a clean
-  // --check/--races run must serialize to the same bytes as a plain run.
-  if (!CheckDiags.empty()) {
-    J += "  \"check\": {\n";
-    J += formatString("    \"errors\": %llu,\n",
-                      static_cast<unsigned long long>(CheckErrors));
-    J += formatString("    \"warnings\": %llu,\n",
-                      static_cast<unsigned long long>(CheckWarnings));
-    J += "    \"diags\": [";
-    for (size_t I = 0; I < CheckDiags.size(); ++I)
-      J += formatString("%s\n      \"%s\"", I ? "," : "",
-                        jsonEscape(CheckDiags[I]).c_str());
-    J += "\n    ]\n";
-    J += "  },\n";
-  }
-  if (!RaceDiags.empty()) {
-    J += "  \"races\": {\n";
-    J += formatString("    \"findings\": %llu,\n",
-                      static_cast<unsigned long long>(RaceFindings));
-    J += "    \"diags\": [";
-    for (size_t I = 0; I < RaceDiags.size(); ++I)
-      J += formatString("%s\n      \"%s\"", I ? "," : "",
-                        jsonEscape(RaceDiags[I]).c_str());
-    J += "\n    ]\n";
-    J += "  },\n";
-  }
-  // The fcl::stats mirror: std::map iteration gives lexicographic, i.e.
-  // deterministic, key order.
-  J += "  \"stats\": {\n";
-  J += "    \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : Stats.counters()) {
-    J += formatString("%s\n      \"%s\": %llu", First ? "" : ",",
-                      jsonEscape(Name).c_str(),
-                      static_cast<unsigned long long>(Value));
-    First = false;
-  }
-  J += First ? "},\n" : "\n    },\n";
-  J += "    \"gauges\": {";
-  First = true;
-  for (const auto &[Name, Value] : Stats.gauges()) {
-    J += formatString("%s\n      \"%s\": %s", First ? "" : ",",
-                      jsonEscape(Name).c_str(), num(Value).c_str());
-    First = false;
-  }
-  J += First ? "}\n" : "\n    }\n";
-  J += "  }\n";
-  J += "}\n";
-  return J;
+  JsonWriter W;
+  W.beginObject();
+  W.key("schema").value("fcl-serve-report-v1");
+  W.key("policy").value(PolicyName);
+  W.key("arrival").value(ArrivalDesc);
+  W.key("mix").value(Mix);
+  W.key("machine").value(Machine);
+  W.key("seed").value(Seed);
+  W.key("streams").value(Streams);
+  W.key("queue_depth").value(QueueDepth);
+  W.key("large_threshold_groups").value(LargeThreshold);
+  W.key("horizon_ms").value(HorizonMs);
+  W.key("submitted").value(Submitted);
+  W.key("rejected").value(Rejected);
+  W.key("completed").value(Completed);
+  W.key("latency_ms").beginObject();
+  writeLatencyJson(W.key("queue_wait"), QueueWait);
+  writeLatencyJson(W.key("service"), Service);
+  writeLatencyJson(W.key("e2e"), E2e);
+  W.end();
+  W.key("per_class").beginObject();
+  W.key("small").beginObject(JsonWriter::Layout::Inline);
+  W.key("completed").value(SmallCompleted);
+  writeLatencyJson(W.key("e2e"), SmallE2e);
+  W.end();
+  W.key("large").beginObject(JsonWriter::Layout::Inline);
+  W.key("completed").value(LargeCompleted);
+  writeLatencyJson(W.key("e2e"), LargeE2e);
+  W.end();
+  W.end();
+  W.key("makespan_ms").value(MakespanMs);
+  W.key("throughput_rps").value(ThroughputRps);
+  W.key("occupancy").beginObject();
+  W.key("gpu_busy_ms").value(GpuBusyMs);
+  W.key("cpu_busy_ms").value(CpuBusyMs);
+  W.key("corun_cpu_ms").value(CorunCpuMs);
+  W.key("gpu_util").value(GpuUtil);
+  W.key("cpu_util").value(CpuUtil);
+  W.end();
+  W.key("placement").beginObject();
+  W.key("coop_jobs").value(CoopJobs);
+  W.key("gpu_jobs").value(GpuJobs);
+  W.key("cpu_jobs").value(CpuJobs);
+  W.key("backfill_jobs").value(BackfillJobs);
+  W.key("chunk_yields").value(ChunkYields);
+  W.end();
+  writeVerdictsJson(W, *this, [&] {
+    // Compound-job accounting only when DAG jobs ran: plain mixes keep
+    // their pre-dag bytes.
+    if (!DagJobs)
+      return;
+    W.key("dag").beginObject();
+    W.key("placement").value(DagPlacement);
+    W.key("jobs").value(DagJobs);
+    W.key("nodes").value(DagNodes);
+    W.key("gpu_nodes").value(DagGpuNodes);
+    W.key("cpu_nodes").value(DagCpuNodes);
+    W.key("transfers").value(DagTransfers);
+    W.key("transfer_bytes").value(DagTransferBytes);
+    W.key("pcie_bytes").value(DagPcieBytes);
+    W.key("transfers_skipped").value(DagTransfersSkipped);
+    W.key("bytes_saved").value(DagBytesSaved);
+    W.end();
+  });
+  W.end();
+  return W.str();
 }
 
 std::string ServeReport::toText() const {
@@ -200,19 +166,14 @@ std::string ServeReport::toText() const {
       static_cast<unsigned long long>(Completed));
   T += formatString("makespan %.3f ms, throughput %.1f req/s\n", MakespanMs,
                     ThroughputRps);
-  auto Row = [](const char *Name, const LatencySummary &S) {
-    return formatString(
-        "  %-11s p50 %9.3f  p95 %9.3f  p99 %9.3f  mean %9.3f  max %9.3f\n",
-        Name, S.P50, S.P95, S.P99, S.Mean, S.Max);
-  };
   T += "latency (ms):\n";
-  T += Row("queue-wait", QueueWait);
-  T += Row("service", Service);
-  T += Row("e2e", E2e);
+  T += latencyRow("queue-wait", QueueWait);
+  T += latencyRow("service", Service);
+  T += latencyRow("e2e", E2e);
   if (SmallCompleted)
-    T += Row("e2e/small", SmallE2e);
+    T += latencyRow("e2e/small", SmallE2e);
   if (LargeCompleted)
-    T += Row("e2e/large", LargeE2e);
+    T += latencyRow("e2e/large", LargeE2e);
   T += formatString("occupancy: gpu %.1f%% cpu %.1f%% (corun-cpu %.3f ms)\n",
                     GpuUtil * 100, CpuUtil * 100, CorunCpuMs);
   T += formatString(

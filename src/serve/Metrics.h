@@ -13,9 +13,11 @@
 ///   end-to-end = end    - arrival   (what the client sees; SLOs bind here)
 ///
 /// with p50/p95/p99 computed by nearest rank. The report serializes to a
-/// deterministic JSON document ("fcl-serve-report-v1"): map-ordered keys
-/// and fixed %.6f float formatting, so identical runs produce identical
-/// bytes - the determinism gates in CI diff two same-seed runs directly.
+/// deterministic JSON document ("fcl-serve-report-v1") through
+/// support/JsonWriter, so identical runs produce identical bytes - the
+/// determinism gates in CI diff two same-seed runs directly. The latency
+/// object, the text latency row and the verdict tail defined here are
+/// shared with the cluster report.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,10 +28,14 @@
 #include "support/SimTime.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 namespace fcl {
+
+class JsonWriter;
+
 namespace serve {
 
 /// Latency distribution summary in milliseconds.
@@ -43,6 +49,12 @@ struct LatencySummary {
 
 /// Summarizes \p ValuesMs (not required to be sorted).
 LatencySummary summarizeLatency(const std::vector<double> &ValuesMs);
+
+/// Writes \p S as the inline {"p50": ..., "max": ...} object.
+void writeLatencyJson(JsonWriter &W, const LatencySummary &S);
+
+/// One "  <name> p50 ... max ..." line of a text report.
+std::string latencyRow(const char *Name, const LatencySummary &S);
 
 /// Final state of one request, as recorded by the engine.
 struct RequestRecord {
@@ -63,8 +75,42 @@ struct RequestRecord {
   double e2eMs() const { return (EndAt - ArrivalAt).toMillis(); }
 };
 
+/// The verdicts both serving reports (serve and cluster) carry, and the
+/// fcl::stats mirror of their numbers.
+struct Verdicts {
+  // SLO verdict (when an SLO was given); binds to e2e latency.
+  bool SloChecked = false;
+  double SloMs = 0;
+  uint64_t SloViolations = 0; // Completed jobs with e2e > SloMs.
+
+  // Functional-mode validation.
+  bool Validated = false;
+  uint64_t ValidationFailures = 0;
+
+  // fcl::check / fcl::race outcome (--check / --races). The JSON emits
+  // the "check"/"races" objects only when diagnostics exist, so a clean
+  // analyzed run serializes to the exact bytes of an unanalyzed one (the
+  // determinism gates rely on this).
+  bool CheckEnabled = false;
+  uint64_t CheckErrors = 0;
+  uint64_t CheckWarnings = 0;
+  std::vector<std::string> CheckDiags; // Rendered, deterministic order.
+  bool RacesEnabled = false;
+  uint64_t RaceFindings = 0;
+  std::vector<std::string> RaceDiags; // Rendered, deterministic order.
+
+  /// Counter/gauge mirror of the report's numbers (the fcl::stats view).
+  stats::Registry Stats;
+};
+
+/// Writes \p V as the closing members of an open report object: "slo" and
+/// "validation", then whatever \p Extra writes, then "check"/"races" when
+/// they hold diagnostics, then "stats".
+void writeVerdictsJson(JsonWriter &W, const Verdicts &V,
+                       const std::function<void()> &Extra = nullptr);
+
 /// Aggregate outcome of one serve run.
-struct ServeReport {
+struct ServeReport : Verdicts {
   // Configuration echo (what produced these numbers).
   std::string PolicyName;
   std::string ArrivalDesc;
@@ -104,15 +150,6 @@ struct ServeReport {
   uint64_t BackfillJobs = 0;  // CPU jobs slotted into corun yield windows.
   uint64_t ChunkYields = 0;   // Cooperative chunk boundaries observed.
 
-  // SLO verdict (when an SLO was given).
-  bool SloChecked = false;
-  double SloMs = 0;
-  uint64_t SloViolations = 0; // Completed requests with e2e > SloMs.
-
-  // Functional-mode validation.
-  bool Validated = false;
-  uint64_t ValidationFailures = 0;
-
   // Compound (DAG) job accounting, mirrored from dag::DagStats so this
   // header does not depend on the dag layer. The JSON emits the "dag"
   // object only when DAG jobs ran: plain mixes serialize to the exact
@@ -127,21 +164,6 @@ struct ServeReport {
   uint64_t DagPcieBytes = 0;
   uint64_t DagTransfersSkipped = 0;
   uint64_t DagBytesSaved = 0;
-
-  // fcl::check / fcl::race outcome (serve --check / --races). The JSON
-  // emits the "check"/"races" objects only when diagnostics exist, so a
-  // clean analyzed run serializes to the exact bytes of an unanalyzed one
-  // (the determinism gates rely on this).
-  bool CheckEnabled = false;
-  uint64_t CheckErrors = 0;
-  uint64_t CheckWarnings = 0;
-  std::vector<std::string> CheckDiags; // Rendered, deterministic order.
-  bool RacesEnabled = false;
-  uint64_t RaceFindings = 0;
-  std::vector<std::string> RaceDiags; // Rendered, deterministic order.
-
-  /// Counter/gauge mirror of the numbers above (the fcl::stats view).
-  stats::Registry Stats;
 
   /// Every request in submission order (rejected ones included).
   std::vector<RequestRecord> Requests;

@@ -7,7 +7,9 @@
 #include "stats/Report.h"
 
 #include "prof/Profiler.h"
+#include "support/File.h"
 #include "support/Format.h"
+#include "support/JsonWriter.h"
 #include "trace/Tracer.h"
 
 #include <cstdio>
@@ -83,114 +85,75 @@ void RunReport::addUtilizationFromTracer(const trace::Tracer &T,
 
 std::string RunReport::renderJson() const {
   FCL_PROF_SCOPE("stats.render_json");
-  std::string Out = "{\n";
-  Out += "  \"schema\": \"fcl-run-report-v1\",\n";
-  Out += formatString("  \"runtime\": \"%s\",\n",
-                      jsonEscape(RuntimeName).c_str());
-  Out += formatString("  \"workload\": \"%s\",\n",
-                      jsonEscape(WorkloadName).c_str());
-  Out += formatString("  \"wall_seconds\": %.9f,\n", Wall.toSeconds());
-  Out += "  \"total_workgroups\": " + u64(totalWorkGroups()) + ",\n";
-  Out += "  \"gpu_workgroups_completed\": " + u64(gpuWorkGroupsCompleted()) +
-         ",\n";
-  Out += "  \"cpu_workgroups_completed\": " + u64(cpuWorkGroupsCompleted()) +
-         ",\n";
-  Out += "  \"gpu_workgroups_executed\": " + u64(gpuWorkGroupsExecuted()) +
-         ",\n";
-  Out += "  \"cpu_workgroups_executed\": " + u64(cpuWorkGroupsExecuted()) +
-         ",\n";
-  Out += "  \"gpu_workgroups_aborted\": " + u64(gpuWorkGroupsAborted()) +
-         ",\n";
-  Out += "  \"gpu_workgroups_wasted\": " + u64(gpuWorkGroupsWasted()) + ",\n";
-  Out += "  \"cpu_workgroups_wasted\": " + u64(cpuWorkGroupsWasted()) + ",\n";
+  JsonWriter W;
+  W.beginObject();
+  W.key("schema").value("fcl-run-report-v1");
+  W.key("runtime").value(RuntimeName);
+  W.key("workload").value(WorkloadName);
+  W.key("wall_seconds").value(Wall.toSeconds(), "%.9f");
+  W.key("total_workgroups").value(totalWorkGroups());
+  W.key("gpu_workgroups_completed").value(gpuWorkGroupsCompleted());
+  W.key("cpu_workgroups_completed").value(cpuWorkGroupsCompleted());
+  W.key("gpu_workgroups_executed").value(gpuWorkGroupsExecuted());
+  W.key("cpu_workgroups_executed").value(cpuWorkGroupsExecuted());
+  W.key("gpu_workgroups_aborted").value(gpuWorkGroupsAborted());
+  W.key("gpu_workgroups_wasted").value(gpuWorkGroupsWasted());
+  W.key("cpu_workgroups_wasted").value(cpuWorkGroupsWasted());
 
-  Out += "  \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : Counters.counters()) {
-    Out += formatString("%s\n    \"%s\": %s", First ? "" : ",",
-                        jsonEscape(Name).c_str(), u64(Value).c_str());
-    First = false;
-  }
-  Out += First ? "},\n" : "\n  },\n";
+  W.members("counters", Counters.counters());
+  W.members("gauges", Counters.gauges(), "%.9g");
 
-  Out += "  \"gauges\": {";
-  First = true;
-  for (const auto &[Name, Value] : Counters.gauges()) {
-    Out += formatString("%s\n    \"%s\": %.9g", First ? "" : ",",
-                        jsonEscape(Name).c_str(), Value);
-    First = false;
-  }
-  Out += First ? "},\n" : "\n  },\n";
-
-  Out += "  \"device_utilization\": [";
-  First = true;
+  W.key("device_utilization").beginArray();
   for (const LaneUtilization &U : Utilization) {
-    Out += formatString("%s\n    {\"lane\": \"%s\", \"busy_seconds\": %.9f, "
-                        "\"utilization\": %.6f}",
-                        First ? "" : ",", jsonEscape(U.Lane).c_str(),
-                        U.Busy.toSeconds(), U.Utilization);
-    First = false;
+    W.beginObject(JsonWriter::Layout::Inline);
+    W.key("lane").value(U.Lane);
+    W.key("busy_seconds").value(U.Busy.toSeconds(), "%.9f");
+    W.key("utilization").value(U.Utilization);
+    W.end();
   }
-  Out += First ? "],\n" : "\n  ],\n";
+  W.end();
 
-  Out += "  \"launches\": [";
-  First = true;
+  W.key("launches").beginArray();
   for (const LaunchStats &L : Launches) {
-    Out += First ? "\n" : ",\n";
-    First = false;
-    Out += "    {\n";
-    Out += formatString("      \"kernel\": \"%s\",\n",
-                        jsonEscape(L.KernelName).c_str());
-    Out += formatString("      \"cpu_kernel_used\": \"%s\",\n",
-                        jsonEscape(L.CpuKernelUsed).c_str());
-    Out += "      \"kernel_id\": " + u64(L.KernelId) + ",\n";
-    Out += "      \"total_workgroups\": " + u64(L.TotalGroups) + ",\n";
-    Out += "      \"gpu_workgroups_completed\": " + u64(L.GpuGroupsCompleted) +
-           ",\n";
-    Out += "      \"cpu_workgroups_completed\": " + u64(L.CpuGroupsCompleted) +
-           ",\n";
-    Out += "      \"gpu_workgroups_executed\": " + u64(L.GpuGroupsExecuted) +
-           ",\n";
-    Out += "      \"cpu_workgroups_executed\": " + u64(L.CpuGroupsExecuted) +
-           ",\n";
-    Out += "      \"gpu_workgroups_aborted\": " + u64(L.GpuGroupsAborted) +
-           ",\n";
-    Out += "      \"gpu_workgroups_wasted\": " + u64(L.GpuGroupsWasted) +
-           ",\n";
-    Out += "      \"cpu_workgroups_wasted\": " + u64(L.CpuGroupsWasted) +
-           ",\n";
-    Out += "      \"cpu_subkernels\": " + u64(L.CpuSubkernels) + ",\n";
-    Out += formatString("      \"final_chunk_pct\": %.6f,\n",
-                        L.FinalChunkPct);
-    Out += "      \"chunk_growth_steps\": " + u64(L.ChunkGrowthSteps) + ",\n";
-    Out += formatString("      \"cpu_ran_everything\": %s,\n",
-                        L.CpuRanEverything ? "true" : "false");
-    Out += formatString("      \"atomics_fallback\": %s,\n",
-                        L.AtomicsFallback ? "true" : "false");
-    Out += "      \"hd_bytes_sent\": " + u64(L.HdBytesSent) + ",\n";
-    Out += "      \"status_bytes_sent\": " + u64(L.StatusBytesSent) + ",\n";
-    Out += "      \"dh_bytes_received\": " + u64(L.DhBytesReceived) + ",\n";
-    Out += "      \"merge_bytes_diffed\": " + u64(L.MergeBytesDiffed) + ",\n";
-    Out += "      \"merge_bytes_copied\": " + u64(L.MergeBytesCopied) + ",\n";
-    Out += formatString("      \"kernel_seconds\": %.9f,\n",
-                        L.KernelTime.toSeconds());
-    Out += "      \"chunk_trajectory\": [";
-    bool FirstPoint = true;
+    W.beginObject();
+    W.key("kernel").value(L.KernelName);
+    W.key("cpu_kernel_used").value(L.CpuKernelUsed);
+    W.key("kernel_id").value(L.KernelId);
+    W.key("total_workgroups").value(L.TotalGroups);
+    W.key("gpu_workgroups_completed").value(L.GpuGroupsCompleted);
+    W.key("cpu_workgroups_completed").value(L.CpuGroupsCompleted);
+    W.key("gpu_workgroups_executed").value(L.GpuGroupsExecuted);
+    W.key("cpu_workgroups_executed").value(L.CpuGroupsExecuted);
+    W.key("gpu_workgroups_aborted").value(L.GpuGroupsAborted);
+    W.key("gpu_workgroups_wasted").value(L.GpuGroupsWasted);
+    W.key("cpu_workgroups_wasted").value(L.CpuGroupsWasted);
+    W.key("cpu_subkernels").value(L.CpuSubkernels);
+    W.key("final_chunk_pct").value(L.FinalChunkPct);
+    W.key("chunk_growth_steps").value(L.ChunkGrowthSteps);
+    W.key("cpu_ran_everything").value(L.CpuRanEverything);
+    W.key("atomics_fallback").value(L.AtomicsFallback);
+    W.key("hd_bytes_sent").value(L.HdBytesSent);
+    W.key("status_bytes_sent").value(L.StatusBytesSent);
+    W.key("dh_bytes_received").value(L.DhBytesReceived);
+    W.key("merge_bytes_diffed").value(L.MergeBytesDiffed);
+    W.key("merge_bytes_copied").value(L.MergeBytesCopied);
+    W.key("kernel_seconds").value(L.KernelTime.toSeconds(), "%.9f");
+    W.key("chunk_trajectory").beginArray();
     for (const ChunkPoint &P : L.ChunkTrajectory) {
-      Out += formatString(
-          "%s\n        {\"t_us\": %.3f, \"workgroups\": %s, "
-          "\"pct_after\": %.4f, \"subkernel_us\": %.3f}",
-          FirstPoint ? "" : ",",
-          static_cast<double>(P.At.nanos()) / 1000.0, u64(P.Groups).c_str(),
-          P.PctAfter, static_cast<double>(P.Took.nanos()) / 1000.0);
-      FirstPoint = false;
+      W.beginObject(JsonWriter::Layout::Inline);
+      W.key("t_us").value(static_cast<double>(P.At.nanos()) / 1000.0, "%.3f");
+      W.key("workgroups").value(P.Groups);
+      W.key("pct_after").value(P.PctAfter, "%.4f");
+      W.key("subkernel_us")
+          .value(static_cast<double>(P.Took.nanos()) / 1000.0, "%.3f");
+      W.end();
     }
-    Out += FirstPoint ? "]\n" : "\n      ]\n";
-    Out += "    }";
+    W.end();
+    W.end();
   }
-  Out += First ? "]\n" : "\n  ]\n";
-  Out += "}\n";
-  return Out;
+  W.end();
+  W.end();
+  return W.str();
 }
 
 std::vector<std::string> RunReport::csvHeader() {
@@ -230,17 +193,6 @@ void RunReport::appendCsvRows(CsvWriter &Csv) const {
                 formatString("%.9f", L.KernelTime.toSeconds())});
 }
 
-bool RunReport::writeJson(const std::string &Path) const {
-  FCL_PROF_SCOPE("stats.write_json");
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Text = renderJson();
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  return Written == Text.size();
-}
-
 void RunReport::printSummary() const {
   std::printf("  stats: %s on %s, wall %.6f s\n", RuntimeName.c_str(),
               WorkloadName.c_str(), Wall.toSeconds());
@@ -275,24 +227,16 @@ void RunReport::printSummary() const {
 
 bool fcl::stats::writeReportsJson(const std::vector<RunReport> &Reports,
                                   const std::string &Path) {
-  std::string Text;
-  if (Reports.size() == 1) {
-    Text = Reports.front().renderJson();
-  } else {
-    Text = "{\n  \"schema\": \"fcl-run-report-set-v1\",\n  \"runs\": [\n";
-    for (size_t I = 0; I < Reports.size(); ++I) {
-      Text += Reports[I].renderJson();
-      // Strip the trailing newline before the separator for tidy output.
-      if (!Text.empty() && Text.back() == '\n')
-        Text.pop_back();
-      Text += I + 1 < Reports.size() ? ",\n" : "\n";
-    }
-    Text += "  ]\n}\n";
-  }
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  return Written == Text.size();
+  if (Reports.size() == 1)
+    return writeFile(Path, Reports.front().renderJson());
+  // Each run keeps its own document layout, spliced in at column 0.
+  JsonWriter W;
+  W.beginObject();
+  W.key("schema").value("fcl-run-report-set-v1");
+  W.key("runs").beginArray();
+  for (const RunReport &R : Reports)
+    W.raw(R.renderJson());
+  W.end();
+  W.end();
+  return writeFile(Path, W.str());
 }

@@ -79,15 +79,13 @@ public:
   /// Header matching appendCsvRows.
   static std::vector<std::string> csvHeader();
 
-  /// Writes renderJson() to \p Path; false if the file cannot be written.
-  bool writeJson(const std::string &Path) const;
-
   /// Prints a human-readable summary to stdout (the --stats output).
   void printSummary() const;
 };
 
 /// Writes \p Reports to \p Path: a bare report object for a single run, or
-/// {"schema":"fcl-run-report-set-v1","runs":[...]} for several.
+/// {"schema":"fcl-run-report-set-v1","runs":[...]} for several. False if
+/// the file cannot be written.
 bool writeReportsJson(const std::vector<RunReport> &Reports,
                       const std::string &Path);
 

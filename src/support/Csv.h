@@ -28,8 +28,8 @@ public:
   /// Renders all rows (header first) as CSV text.
   std::string render() const;
 
-  /// Writes the CSV to \p Path. Returns false (and leaves no partial file
-  /// guarantee) if the file cannot be opened.
+  /// Writes the CSV to \p Path (see fcl::writeFile); false if it cannot be
+  /// written, in which case the file may be partial.
   bool writeFile(const std::string &Path) const;
 
 private:

@@ -31,7 +31,7 @@ std::string fcl::formatString(const char *Fmt, ...) {
   return Result;
 }
 
-std::string fcl::jsonEscape(const std::string &S) {
+std::string fcl::jsonEscape(std::string_view S) {
   std::string Out;
   Out.reserve(S.size());
   for (char C : S) {

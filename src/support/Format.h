@@ -15,6 +15,7 @@
 #define FCL_SUPPORT_FORMAT_H
 
 #include <string>
+#include <string_view>
 
 namespace fcl {
 
@@ -29,9 +30,10 @@ std::string formatString(const char *Fmt, ...);
 
 /// Escapes \p S for inclusion inside a JSON string literal: quotes and
 /// backslashes are backslash-escaped, control characters become \uXXXX.
-/// Shared by every JSON emitter (trace, stats) so no interpolation site can
-/// produce invalid JSON from a hostile kernel or buffer name.
-std::string jsonEscape(const std::string &S);
+/// Used by support/JsonWriter (every report) and the Chrome trace, so no
+/// interpolation site can produce invalid JSON from a hostile kernel or
+/// buffer name.
+std::string jsonEscape(std::string_view S);
 
 } // namespace fcl
 

@@ -246,6 +246,54 @@ TEST_F(ProfTest, BenchReportJsonRoundTrip) {
   std::remove(Path.c_str());
 }
 
+// Byte-level gate for "fcl-bench-report-v1": every field is fixed (no
+// wall-clock values), including a key that needs escaping, an empty map
+// and hand-built profile phases.
+TEST_F(ProfTest, BenchReportGoldenBytes) {
+  BenchReport Rep;
+  Rep.Name = "golden";
+  Rep.Suite = "unit";
+  Rep.Metrics["events_per_sec"] = 1234.5;
+  Rep.Metrics["odd \"key\"\t"] = 0.000123456789;
+  PhaseStats Outer;
+  Outer.Path = "sim.run";
+  Outer.Count = 3;
+  Outer.InclusiveNs = 2'500'000;
+  Outer.ExclusiveNs = 1'250'000;
+  PhaseStats Inner;
+  Inner.Path = "sim.run/fcl.merge";
+  Inner.Count = 7;
+  Inner.InclusiveNs = 1'250'000;
+  Inner.ExclusiveNs = 1'250'000;
+  Rep.Profile = {Outer, Inner};
+  Rep.Counters["alloc.bytes"] = 4096;
+  Rep.Counters["alloc.count"] = 12;
+  Rep.PeakRss = 1048576;
+
+  EXPECT_EQ(Rep.toJson(),
+            "{\n"
+            "  \"schema\": \"fcl-bench-report-v1\",\n"
+            "  \"name\": \"golden\",\n"
+            "  \"suite\": \"unit\",\n"
+            "  \"meta\": {},\n"
+            "  \"metrics\": {\n"
+            "    \"events_per_sec\": 1234.5,\n"
+            "    \"odd \\\"key\\\"\\t\": 0.000123456789\n"
+            "  },\n"
+            "  \"peak_rss_bytes\": 1048576,\n"
+            "  \"profile\": [\n"
+            "    {\"path\": \"sim.run\", \"count\": 3, \"inclusive_ms\": "
+            "2.500000, \"exclusive_ms\": 1.250000},\n"
+            "    {\"path\": \"sim.run/fcl.merge\", \"count\": 7, "
+            "\"inclusive_ms\": 1.250000, \"exclusive_ms\": 1.250000}\n"
+            "  ],\n"
+            "  \"counters\": {\n"
+            "    \"alloc.bytes\": 4096,\n"
+            "    \"alloc.count\": 12\n"
+            "  }\n"
+            "}\n");
+}
+
 serve::ServeReport runServeOnce() {
   serve::EngineConfig Cfg;
   Cfg.P = serve::Policy::FluidicCorun;

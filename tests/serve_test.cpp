@@ -352,4 +352,127 @@ TEST(ServeEngineTest, ReportJsonCarriesSchemaAndConfigEcho) {
   EXPECT_NE(Json.find("serve_completed"), std::string::npos);
 }
 
+// Byte-level gate for the parts of "fcl-serve-report-v1" that only appear
+// when something happened - the "dag", "check" and "races" objects - with
+// strings that need escaping.
+TEST(ServeReportTest, JsonGoldenBytesWithDagCheckAndRaces) {
+  ServeReport R;
+  R.PolicyName = "corun";
+  R.ArrivalDesc = "poisson:400";
+  R.Mix = "mixed";
+  R.Machine = "paper";
+  R.Seed = 7;
+  R.Streams = 8;
+  R.QueueDepth = 64;
+  R.LargeThreshold = 64;
+  R.HorizonMs = 100;
+  R.Submitted = 3;
+  R.Rejected = 1;
+  R.Completed = 2;
+  R.E2e = {1.5, 2, 2.25, 1.75, 2.25};
+  R.MakespanMs = 2.5;
+  R.ThroughputRps = 800;
+  R.DagPlacement = "residency";
+  R.DagJobs = 1;
+  R.DagNodes = 3;
+  R.CheckEnabled = true;
+  R.CheckErrors = 1;
+  R.CheckDiags = {"error: \"k\" writes out of bounds"};
+  R.RacesEnabled = true;
+  R.RaceFindings = 2;
+  R.RaceDiags = {"race a", "race\tb"};
+  R.Stats.add("serve_completed", 2);
+  R.Stats.set("serve_gpu_util", 0.5);
+
+  const std::string Zero = "{\"p50\": 0.000000, \"p95\": 0.000000, \"p99\": "
+                           "0.000000, \"mean\": 0.000000, \"max\": 0.000000}";
+  EXPECT_EQ(R.toJson(),
+            "{\n"
+            "  \"schema\": \"fcl-serve-report-v1\",\n"
+            "  \"policy\": \"corun\",\n"
+            "  \"arrival\": \"poisson:400\",\n"
+            "  \"mix\": \"mixed\",\n"
+            "  \"machine\": \"paper\",\n"
+            "  \"seed\": 7,\n"
+            "  \"streams\": 8,\n"
+            "  \"queue_depth\": 64,\n"
+            "  \"large_threshold_groups\": 64,\n"
+            "  \"horizon_ms\": 100.000000,\n"
+            "  \"submitted\": 3,\n"
+            "  \"rejected\": 1,\n"
+            "  \"completed\": 2,\n"
+            "  \"latency_ms\": {\n"
+            "    \"queue_wait\": " + Zero + ",\n"
+            "    \"service\": " + Zero + ",\n"
+            "    \"e2e\": {\"p50\": 1.500000, \"p95\": 2.000000, \"p99\": "
+            "2.250000, \"mean\": 1.750000, \"max\": 2.250000}\n"
+            "  },\n"
+            "  \"per_class\": {\n"
+            "    \"small\": {\"completed\": 0, \"e2e\": " +
+            Zero + "},\n"
+            "    \"large\": {\"completed\": 0, \"e2e\": " +
+            Zero + "}\n"
+            "  },\n"
+            "  \"makespan_ms\": 2.500000,\n"
+            "  \"throughput_rps\": 800.000000,\n"
+            "  \"occupancy\": {\n"
+            "    \"gpu_busy_ms\": 0.000000,\n"
+            "    \"cpu_busy_ms\": 0.000000,\n"
+            "    \"corun_cpu_ms\": 0.000000,\n"
+            "    \"gpu_util\": 0.000000,\n"
+            "    \"cpu_util\": 0.000000\n"
+            "  },\n"
+            "  \"placement\": {\n"
+            "    \"coop_jobs\": 0,\n"
+            "    \"gpu_jobs\": 0,\n"
+            "    \"cpu_jobs\": 0,\n"
+            "    \"backfill_jobs\": 0,\n"
+            "    \"chunk_yields\": 0\n"
+            "  },\n"
+            "  \"slo\": {\n"
+            "    \"checked\": false,\n"
+            "    \"slo_ms\": 0.000000,\n"
+            "    \"violations\": 0\n"
+            "  },\n"
+            "  \"validation\": {\n"
+            "    \"validated\": false,\n"
+            "    \"failures\": 0\n"
+            "  },\n"
+            "  \"dag\": {\n"
+            "    \"placement\": \"residency\",\n"
+            "    \"jobs\": 1,\n"
+            "    \"nodes\": 3,\n"
+            "    \"gpu_nodes\": 0,\n"
+            "    \"cpu_nodes\": 0,\n"
+            "    \"transfers\": 0,\n"
+            "    \"transfer_bytes\": 0,\n"
+            "    \"pcie_bytes\": 0,\n"
+            "    \"transfers_skipped\": 0,\n"
+            "    \"bytes_saved\": 0\n"
+            "  },\n"
+            "  \"check\": {\n"
+            "    \"errors\": 1,\n"
+            "    \"warnings\": 0,\n"
+            "    \"diags\": [\n"
+            "      \"error: \\\"k\\\" writes out of bounds\"\n"
+            "    ]\n"
+            "  },\n"
+            "  \"races\": {\n"
+            "    \"findings\": 2,\n"
+            "    \"diags\": [\n"
+            "      \"race a\",\n"
+            "      \"race\\tb\"\n"
+            "    ]\n"
+            "  },\n"
+            "  \"stats\": {\n"
+            "    \"counters\": {\n"
+            "      \"serve_completed\": 2\n"
+            "    },\n"
+            "    \"gauges\": {\n"
+            "      \"serve_gpu_util\": 0.500000\n"
+            "    }\n"
+            "  }\n"
+            "}\n");
+}
+
 } // namespace

@@ -163,7 +163,7 @@ TEST(RunReportTest, JsonAndCsvExport) {
             1 + Rep.Launches.size());
 
   std::string Path = ::testing::TempDir() + "/fcl_stats_test.json";
-  ASSERT_TRUE(Rep.writeJson(Path));
+  ASSERT_TRUE(stats::writeReportsJson({Rep}, Path));
   std::ifstream In(Path);
   std::stringstream SS;
   SS << In.rdbuf();

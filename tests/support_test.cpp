@@ -5,7 +5,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Csv.h"
+#include "support/File.h"
 #include "support/Format.h"
+#include "support/JsonWriter.h"
 #include "support/Rng.h"
 #include "support/SimTime.h"
 #include "support/Statistics.h"
@@ -16,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <sys/stat.h>
 
 using namespace fcl;
 
@@ -211,6 +214,141 @@ TEST(CsvTest, WriteFileRoundTrip) {
 TEST(CsvTest, WriteFileFailsOnBadPath) {
   CsvWriter C({"k"});
   EXPECT_FALSE(C.writeFile("/nonexistent-dir-xyz/file.csv"));
+}
+
+// --- writeFile --------------------------------------------------------------
+
+TEST(WriteFileTest, RoundTripReplacesContents) {
+  std::string Path = ::testing::TempDir() + "/fcl_write_file_test.txt";
+  ASSERT_TRUE(writeFile(Path, "first, longer contents\n"));
+  ASSERT_TRUE(writeFile(Path, "second\n"));
+  std::ifstream In(Path);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  EXPECT_EQ(SS.str(), "second\n");
+  std::remove(Path.c_str());
+}
+
+TEST(WriteFileTest, FailsOnMissingDirectory) {
+  EXPECT_FALSE(writeFile("/nonexistent-dir-xyz/file.txt", "x"));
+}
+
+// /dev/full accepts the open and the buffered write and fails only when the
+// close flushes: a writer that ignores fclose reports success here.
+TEST(WriteFileTest, FailsOnFullDevice) {
+  struct stat St;
+  if (stat("/dev/full", &St) != 0)
+    GTEST_SKIP() << "no /dev/full on this system";
+  EXPECT_FALSE(writeFile("/dev/full", "x"));
+}
+
+// --- JsonWriter -------------------------------------------------------------
+
+TEST(JsonWriterTest, NestsBlockContainers) {
+  JsonWriter W;
+  W.beginObject();
+  W.key("schema").value("s");
+  W.key("n").value(uint64_t{18446744073709551615u});
+  W.key("i").value(-3);
+  W.key("ok").value(true);
+  W.key("inner").beginObject();
+  W.key("list").beginArray();
+  W.value("a").value(false);
+  W.end();
+  W.end();
+  W.end();
+  EXPECT_EQ(W.str(), "{\n"
+                     "  \"schema\": \"s\",\n"
+                     "  \"n\": 18446744073709551615,\n"
+                     "  \"i\": -3,\n"
+                     "  \"ok\": true,\n"
+                     "  \"inner\": {\n"
+                     "    \"list\": [\n"
+                     "      \"a\",\n"
+                     "      false\n"
+                     "    ]\n"
+                     "  }\n"
+                     "}\n");
+}
+
+TEST(JsonWriterTest, EmptyContainersCollapse) {
+  JsonWriter W;
+  W.beginObject();
+  W.key("o").beginObject().end();
+  W.key("a").beginArray().end();
+  W.key("io").beginObject(JsonWriter::Layout::Inline).end();
+  W.end();
+  EXPECT_EQ(W.str(), "{\n  \"o\": {},\n  \"a\": [],\n  \"io\": {}\n}\n");
+  JsonWriter Top;
+  Top.beginArray().end();
+  EXPECT_EQ(Top.str(), "[]\n");
+}
+
+TEST(JsonWriterTest, InlineObjectsInsideBlockArray) {
+  JsonWriter W;
+  W.beginObject();
+  W.key("rows").beginArray();
+  for (int I = 0; I < 2; ++I) {
+    W.beginObject(JsonWriter::Layout::Inline);
+    W.key("id").value(I);
+    // A block container inside an inline one stays inline.
+    W.key("lat").beginObject();
+    W.key("p50").value(0.5 * I);
+    W.end();
+    W.key("tags").beginArray().value("x").value("y").end();
+    W.end();
+  }
+  W.end();
+  W.end();
+  EXPECT_EQ(W.str(),
+            "{\n"
+            "  \"rows\": [\n"
+            "    {\"id\": 0, \"lat\": {\"p50\": 0.000000}, \"tags\": "
+            "[\"x\", \"y\"]},\n"
+            "    {\"id\": 1, \"lat\": {\"p50\": 0.500000}, \"tags\": "
+            "[\"x\", \"y\"]}\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(JsonWriterTest, EscapesHostileKeysAndValues) {
+  JsonWriter W;
+  W.beginObject(JsonWriter::Layout::Inline);
+  W.key("k\"ey\\\n").value(std::string("v\t\"\x01\r"));
+  W.end();
+  EXPECT_EQ(W.str(),
+            "{\"k\\\"ey\\\\\\n\": \"v\\t\\\"\\u0001\\r\"}\n");
+}
+
+TEST(JsonWriterTest, DoublesUseFixedDefaultOrExplicitFormat) {
+  JsonWriter W;
+  W.beginArray(JsonWriter::Layout::Inline);
+  W.value(1.0 / 3.0);
+  W.value(2.0);
+  W.value(1.0 / 3.0, "%.9f");
+  W.value(0.000123456789, "%.9g");
+  W.value(12.34567, "%.3f");
+  W.end();
+  EXPECT_EQ(W.str(),
+            "[0.333333, 2.000000, 0.333333333, 0.000123456789, 12.346]\n");
+}
+
+TEST(JsonWriterTest, RawSplicesDocumentsAtColumnZero) {
+  JsonWriter W;
+  W.beginObject();
+  W.key("runs").beginArray();
+  W.raw("{\n  \"a\": 1\n}\n");
+  W.raw("{}");
+  W.end();
+  W.end();
+  EXPECT_EQ(W.str(), "{\n"
+                     "  \"runs\": [\n"
+                     "{\n"
+                     "  \"a\": 1\n"
+                     "},\n"
+                     "{}\n"
+                     "  ]\n"
+                     "}\n");
 }
 
 } // namespace

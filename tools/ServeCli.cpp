@@ -7,13 +7,13 @@
 #include "ServeCli.h"
 
 #include "prof/Profiler.h"
+#include "support/File.h"
 #include "support/Format.h"
 
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 
 using namespace fcl;
 using namespace fcl::servecli;
@@ -196,17 +196,10 @@ bool Outputs::write(const char *Flag, const std::string &What,
   const std::string &Path = Args.str(Flag);
   if (Path.empty())
     return true;
-  std::ofstream Out(Path, std::ios::binary);
-  if (!(Out << Contents())) {
+  if (!writeFile(Path, Contents())) {
     std::fprintf(stderr, "error: cannot write %s\n", Path.c_str());
     return false;
   }
   std::printf("%s written to %s\n", What.c_str(), Path.c_str());
   return true;
-}
-
-void Outputs::writeTrace() {
-  const std::string &Path = Args.str("trace");
-  if (!Path.empty() && Tracer.writeChromeTrace(Path))
-    std::printf("trace written to %s\n", Path.c_str());
 }

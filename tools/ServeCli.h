@@ -67,10 +67,10 @@ public:
 
 private:
   void stopProfile();
-  /// Writes \p Contents() to the path given by \p Flag, if any.
+  /// Writes \p Contents() to the path given by \p Flag, if any; false
+  /// (after one "error: cannot write <path>" line) when it cannot.
   bool write(const char *Flag, const std::string &What,
              const std::function<std::string()> &Contents);
-  void writeTrace();
 
   const ArgParser &Args;
   Tool T;
@@ -83,9 +83,9 @@ template <class ReportT> int Outputs::finish(const ReportT &R) {
   stopProfile();
   if (!write("stats-json", "report JSON", [&R] { return R.toJson(); }) ||
       !write(T.CsvFlag, std::string(T.Unit) + " CSV",
-             [&R] { return R.toCsv(); }))
+             [&R] { return R.toCsv(); }) ||
+      !write("trace", "trace", [this] { return Tracer.renderChromeTrace(); }))
     return 1;
-  writeTrace();
 
   if (R.Validated && R.ValidationFailures > 0) {
     std::fprintf(stderr, "FAIL: %llu job(s) produced wrong results\n",

@@ -84,10 +84,12 @@ struct ToolConfig {
 
 /// Runs one workload under one named runtime; returns the result (or a
 /// zero-duration result if the runtime name is unknown). When stats are
-/// requested the run's report is appended to \p Reports.
+/// requested the run's report is appended to \p Reports. Sets
+/// \p WriteFailed when the --trace file cannot be written.
 RunResult runOne(const std::string &Runtime, const Workload &W,
                  const ToolConfig &Cfg, bool Validate,
-                 std::vector<stats::RunReport> &Reports, bool &CheckFailed) {
+                 std::vector<stats::RunReport> &Reports, bool &CheckFailed,
+                 bool &WriteFailed) {
   mcl::Context Ctx(Cfg.M, Cfg.Mode);
   trace::Tracer Tracer;
   // Stats need the tracer too: per-device utilization is derived from the
@@ -165,9 +167,11 @@ RunResult runOne(const std::string &Runtime, const Workload &W,
                   "samples)\n",
                   Cfg.TracePath.c_str(), Tracer.size(),
                   Tracer.counterSamples().size());
-    else
+    else {
       std::fprintf(stderr, "could not write trace to %s\n",
                    Cfg.TracePath.c_str());
+      WriteFailed = true;
+    }
   }
   return Res;
 }
@@ -289,6 +293,7 @@ int main(int Argc, char **Argv) {
   bool Validate = Args.flag("functional");
   bool AnyInvalid = false;
   bool CheckFailed = false;
+  bool WriteFailed = false;
 
   // --check: probe every kernel call with the access oracle before the
   // runs (the fluidicl runs additionally arm the protocol checker and the
@@ -315,7 +320,8 @@ int main(int Argc, char **Argv) {
     std::printf("== %s - %s\n", W.Name.c_str(), W.Summary.c_str());
     Table T({"runtime", "total (s)", Validate ? "validated" : ""});
     for (const std::string &R : Runtimes) {
-      RunResult Res = runOne(R, W, Cfg, Validate, Reports, CheckFailed);
+      RunResult Res =
+          runOne(R, W, Cfg, Validate, Reports, CheckFailed, WriteFailed);
       std::string Check;
       if (Res.Validated) {
         Check = Res.Valid ? "ok" : "FAILED";
@@ -332,9 +338,11 @@ int main(int Argc, char **Argv) {
     if (stats::writeReportsJson(Reports, Cfg.StatsJsonPath))
       std::printf("stats JSON written to %s (%zu runs)\n",
                   Cfg.StatsJsonPath.c_str(), Reports.size());
-    else
+    else {
       std::fprintf(stderr, "could not write stats JSON to %s\n",
                    Cfg.StatsJsonPath.c_str());
+      WriteFailed = true;
+    }
   }
   if (!Cfg.StatsCsvPath.empty()) {
     CsvWriter Csv(stats::RunReport::csvHeader());
@@ -342,9 +350,11 @@ int main(int Argc, char **Argv) {
       Rep.appendCsvRows(Csv);
     if (Csv.writeFile(Cfg.StatsCsvPath))
       std::printf("stats CSV written to %s\n", Cfg.StatsCsvPath.c_str());
-    else
+    else {
       std::fprintf(stderr, "could not write stats CSV to %s\n",
                    Cfg.StatsCsvPath.c_str());
+      WriteFailed = true;
+    }
   }
   if (Args.flag("prof")) {
     prof::Profiler::instance().setEnabled(false);
@@ -368,7 +378,8 @@ int main(int Argc, char **Argv) {
   if (RacesFailed)
     std::fprintf(stderr,
                  "races: findings under --races=fail; exiting non-zero\n");
-  return (AnyInvalid || OracleSink.shouldFail() || CheckFailed || RacesFailed)
+  return (AnyInvalid || OracleSink.shouldFail() || CheckFailed ||
+          RacesFailed || WriteFailed)
              ? 1
              : 0;
 }
