@@ -12,6 +12,7 @@
 #include "support/Log.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -76,8 +77,10 @@ Duration GpuEngine::launchDuration(const LaunchDesc &Desc) const {
 /// work-groups run back to back; each wave is divided into checkpoint
 /// segments (1 segment unless in-loop aborts are enabled); at each segment
 /// boundary the CPU-completion boundary is re-read and covered work-groups
-/// abort, shortening the remainder of the wave.
-struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
+/// abort, shortening the remainder of the wave. The Run is its own
+/// checkpoint event: every segment re-arms it in place, so a checkpoint
+/// allocates nothing. The engine owns the Run until it finishes.
+struct GpuEngine::Run final : sim::Event {
   GpuEngine *Eng = nullptr;
   LaunchDesc Desc;
   std::function<void(uint64_t)> Complete;
@@ -93,6 +96,11 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
   uint64_t Live = 0; // Work-groups still executing in the wave.
   int Checkpoint = 0;
   int NumCheckpoints = 1;
+
+  /// gpuWaveTime() of CachedLive work-groups; Live rarely changes between
+  /// checkpoints, so most segments reuse it.
+  uint64_t CachedLive = 0;
+  Duration CachedWaveTime;
 
   /// Smallest flat ID the GPU must still execute up to (exclusive): the
   /// NDRange end, lowered by the CPU-completion boundary when one is wired.
@@ -113,10 +121,8 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
   }
 
   void start() {
-    auto Self = shared_from_this();
     Eng->Ctx.simulator().scheduleAfter(
-        Eng->Ctx.machine().Gpu.KernelLaunchOverhead,
-        [Self] { Self->beginWave(); });
+        Eng->Ctx.machine().Gpu.KernelLaunchOverhead, [this] { beginWave(); });
   }
 
   void beginWave() {
@@ -140,20 +146,23 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
   /// remaining for Live work-groups, split evenly over the remaining
   /// checkpoints.
   void scheduleSegment() {
-    Duration WaveRemaining = hw::gpuWaveTime(Eng->Ctx.machine(), Cost,
-                                             Desc.Abort, Live * ItemsPerWg);
+    if (Live != CachedLive) {
+      CachedLive = Live;
+      CachedWaveTime = hw::gpuWaveTime(Eng->Ctx.machine(), Cost, Desc.Abort,
+                                       Live * ItemsPerWg);
+    }
+    Duration WaveRemaining = CachedWaveTime;
     int SegmentsLeft = NumCheckpoints - Checkpoint;
     Duration Segment =
         Duration::nanoseconds((WaveRemaining.nanos() *
                                (NumCheckpoints - Checkpoint) /
                                NumCheckpoints) /
                               SegmentsLeft);
-    auto Self = shared_from_this();
-    Eng->Ctx.simulator().scheduleAfter(Segment,
-                                       [Self] { Self->atCheckpoint(); });
+    Eng->Ctx.simulator().armAfter(Segment, *this);
   }
 
-  void atCheckpoint() {
+  /// A checkpoint: the end of the current segment.
+  void fire() override {
     ++Checkpoint;
     // Re-read the status word; in-flight work-groups now covered by the
     // CPU abort at their next in-loop check (section 6.4).
@@ -204,16 +213,29 @@ struct GpuEngine::Run : std::enable_shared_from_this<GpuEngine::Run> {
     beginWave();
   }
 
+  /// Reports completion and destroys this Run; every caller returns
+  /// straight after.
   void finish() {
     sampleLive(0);
     auto Done = std::move(Complete);
     Done(Executed);
+    Eng->retire(*this);
   }
 };
 
+GpuEngine::~GpuEngine() = default;
+
+void GpuEngine::retire(Run &R) {
+  auto It = std::find_if(Runs.begin(), Runs.end(),
+                         [&R](const auto &P) { return P.get() == &R; });
+  assert(It != Runs.end() && "retiring a Run this engine does not own");
+  std::swap(*It, Runs.back());
+  Runs.pop_back();
+}
+
 void GpuEngine::executeLaunch(const LaunchDesc &Desc,
                               std::function<void(uint64_t)> Complete) {
-  auto R = std::make_shared<Run>();
+  Run *R = Runs.emplace_back(std::make_unique<Run>()).get();
   R->Eng = this;
   R->Desc = Desc;
   R->Complete = std::move(Complete);

@@ -19,6 +19,9 @@
 
 #include "mcl/Device.h"
 
+#include <memory>
+#include <vector>
+
 namespace fcl {
 namespace mcl {
 
@@ -26,6 +29,7 @@ namespace mcl {
 class GpuEngine final : public Device {
 public:
   explicit GpuEngine(Context &Ctx);
+  ~GpuEngine() override;
 
   int computeUnits() const override;
   TimePoint scheduleTransfer(TransferDir Dir, uint64_t Bytes) override;
@@ -40,7 +44,13 @@ public:
 private:
   struct Run;
 
+  /// Destroys a finished Run.
+  void retire(Run &R);
+
   TimePoint ChannelFree[2];
+  /// In-flight launches. Owning them here (not through their pending
+  /// events) frees them even when the simulation stops mid-launch.
+  std::vector<std::unique_ptr<Run>> Runs;
 };
 
 } // namespace mcl

@@ -611,7 +611,6 @@ ServeReport Engine::finalize() {
   sim::Simulator &Sim = Ctx->simulator();
   St.add("sim_events_executed", Sim.eventsExecuted());
   St.add("sim_tombstone_skips", Sim.tombstoneSkips());
-  St.add("sim_compaction_runs", Sim.compactionRuns());
   St.set("sim_pending_tombstones", static_cast<double>(Sim.pendingTombstones()));
   return Rep;
 }

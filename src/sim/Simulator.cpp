@@ -10,7 +10,6 @@
 #include "race/Race.h"
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -25,16 +24,13 @@ static prof::Counter ProfScheduled("sim.events_scheduled");
 static prof::Counter ProfCancelled("sim.events_cancelled");
 static prof::Counter ProfExecuted("sim.events_executed");
 static prof::Counter ProfTombstoneSkips("sim.tombstone_skips");
-static prof::Counter ProfCompactions("sim.compaction_runs");
 
 void Simulator::flushProfCounters() {
   ProfScheduled.add((NextSeq - 1) - LastProfFlush.Scheduled);
   ProfCancelled.add(Cancelled - LastProfFlush.Cancelled);
   ProfExecuted.add(Executed - LastProfFlush.Executed);
   ProfTombstoneSkips.add(TombstoneSkips - LastProfFlush.TombstoneSkips);
-  ProfCompactions.add(CompactionRuns - LastProfFlush.CompactionRuns);
-  LastProfFlush = {NextSeq - 1, Cancelled, Executed, TombstoneSkips,
-                   CompactionRuns};
+  LastProfFlush = {NextSeq - 1, Cancelled, Executed, TombstoneSkips};
 }
 
 uint32_t Simulator::raceDomain() {
@@ -43,16 +39,41 @@ uint32_t Simulator::raceDomain() {
   return RaceDomain;
 }
 
-EventId Simulator::scheduleAt(TimePoint At, Callback Fn) {
+// Callbacks and intrusive events share one path from here on: both take a
+// sequence number and a slot, report to the race analyzer at arm time, and
+// are dispatched by dispatchTop() in (At, Seq) order.
+Simulator::Slot &Simulator::enqueue(TimePoint At, EventId &Id) {
   FCL_CHECK(At >= Now, "cannot schedule an event in the past");
-  FCL_CHECK(Fn != nullptr, "cannot schedule a null callback");
   uint64_t Seq = NextSeq++;
-  Queue.push(Entry{At, Seq});
-  CallbackBySeq.push_back(SeqCallback{Seq, std::move(Fn)});
+  uint32_t Idx;
+  if (FreeSlots.empty()) {
+    Idx = static_cast<uint32_t>(Slots.size());
+    Slots.emplace_back();
+  } else {
+    Idx = FreeSlots.back();
+    FreeSlots.pop_back();
+  }
+  Queue.push(Entry{At, Seq, Idx});
+  Slots[Idx].Seq = Seq;
   ++Live;
   if (race::Analyzer::enabled())
     race::Analyzer::instance().onSchedule(Seq, raceDomain());
-  return EventId(Seq);
+  Id = EventId(Idx, Seq);
+  return Slots[Idx];
+}
+
+void Simulator::release(uint32_t Idx) {
+  Slots[Idx].Seq = 0;
+  Slots[Idx].Intrusive = nullptr;
+  FreeSlots.push_back(Idx);
+  --Live;
+}
+
+EventId Simulator::scheduleAt(TimePoint At, Callback Fn) {
+  FCL_CHECK(Fn != nullptr, "cannot schedule a null callback");
+  EventId Id;
+  enqueue(At, Id).Fn = std::move(Fn);
+  return Id;
 }
 
 EventId Simulator::scheduleAfter(Duration Delay, Callback Fn) {
@@ -60,63 +81,59 @@ EventId Simulator::scheduleAfter(Duration Delay, Callback Fn) {
   return scheduleAt(Now + Delay, std::move(Fn));
 }
 
-Simulator::Callback Simulator::takeCallback(uint64_t Seq) {
-  // CallbackBySeq is sorted by Seq (sequences are handed out in increasing
-  // order), so a binary search finds the slot; the callback is moved out and
-  // the slot tombstoned (empty Fn) to keep the search structure intact.
-  auto It = std::lower_bound(
-      CallbackBySeq.begin(), CallbackBySeq.end(), Seq,
-      [](const SeqCallback &E, uint64_t S) { return E.Seq < S; });
-  if (It == CallbackBySeq.end() || It->Seq != Seq || !It->Fn)
-    return nullptr;
-  Callback Fn = std::move(It->Fn);
-  It->Fn = nullptr;
-  --Live;
-  // Compact tombstones so memory does not grow unboundedly in long
-  // simulations (erase keeps the vector sorted by Seq).
-  if (Live == 0) {
-    CallbackBySeq.clear();
-  } else if (CallbackBySeq.size() > 1024 && Live * 2 < CallbackBySeq.size()) {
-    ++CompactionRuns;
-    std::erase_if(CallbackBySeq,
-                  [](const SeqCallback &E) { return E.Fn == nullptr; });
-  }
-  return Fn;
+EventId Simulator::armAfter(Duration Delay, Event &E) {
+  FCL_CHECK(Delay >= Duration::zero(), "negative delay");
+  EventId Id;
+  enqueue(Now + Delay, Id).Intrusive = &E;
+  return Id;
 }
 
 bool Simulator::cancel(EventId Id) {
-  if (!Id.valid())
+  if (!Id.valid() || Id.Slot >= Slots.size() || Slots[Id.Slot].Seq != Id.Seq)
     return false;
+  // The heap entry stays queued as a tombstone until it pops.
+  Callback Dropped;
+  Dropped.swap(Slots[Id.Slot].Fn);
+  release(Id.Slot);
   ++Cancelled;
-  Callback Fn = takeCallback(Id.Seq);
-  if (Fn && race::Analyzer::enabled())
+  if (race::Analyzer::enabled())
     race::Analyzer::instance().onCancel(Id.Seq, raceDomain());
-  return Fn != nullptr;
+  return true;
+}
+
+void Simulator::dispatchTop() {
+  Entry Top = Queue.top();
+  Queue.pop();
+  // Free the slot before running the payload, so the event can re-arm
+  // itself (into the same slot) or schedule successors.
+  Slot &S = Slots[Top.Slot];
+  Event *Intrusive = S.Intrusive;
+  Callback Fn;
+  Fn.swap(S.Fn);
+  release(Top.Slot);
+  assert(Top.At >= Now && "event queue went backwards");
+  Now = Top.At;
+  ++Executed;
+  bool Analyzed = race::Analyzer::enabled();
+  if (Analyzed)
+    race::Analyzer::instance().onEventBegin(Top.Seq, raceDomain());
+  if (Intrusive)
+    Intrusive->fire();
+  else
+    Fn();
+  if (Analyzed)
+    race::Analyzer::instance().onEventEnd();
 }
 
 bool Simulator::step() {
-  while (!Queue.empty()) {
-    Entry Top = Queue.top();
+  while (!Queue.empty() && topIsTombstone()) {
     Queue.pop();
-    Callback Fn = takeCallback(Top.Seq);
-    if (!Fn) {
-      ++TombstoneSkips;
-      continue; // Cancelled.
-    }
-    assert(Top.At >= Now && "event queue went backwards");
-    Now = Top.At;
-    ++Executed;
-    if (race::Analyzer::enabled()) {
-      race::Analyzer &RA = race::Analyzer::instance();
-      RA.onEventBegin(Top.Seq, raceDomain());
-      Fn();
-      RA.onEventEnd();
-    } else {
-      Fn();
-    }
-    return true;
+    ++TombstoneSkips;
   }
-  return false;
+  if (Queue.empty())
+    return false;
+  dispatchTop();
+  return true;
 }
 
 // The run loops open a "sim.run" profiler phase only when there is event
@@ -166,9 +183,15 @@ void Simulator::runUntil(TimePoint Deadline) {
       std::optional<prof::ScopedPhase> Phase;
       if (Outer)
         Phase.emplace("sim.run");
+      // Tombstones are skipped inside the deadline test, so a cancelled
+      // entry on top never lets a later live event run past the deadline.
       while (!Queue.empty() && Queue.top().At <= Deadline) {
-        if (!step())
-          break;
+        if (topIsTombstone()) {
+          Queue.pop();
+          ++TombstoneSkips;
+        } else {
+          dispatchTop();
+        }
       }
     }
     if (Outer) {

@@ -30,7 +30,10 @@
 namespace fcl {
 namespace sim {
 
-/// Opaque handle identifying a scheduled event, usable for cancellation.
+/// Opaque handle identifying a scheduled event, usable for cancellation: the
+/// queue slot the event occupies and the sequence number that owns it. A
+/// slot is reused once its event fires or is cancelled, but never under the
+/// same sequence number, so a stale handle cannot reach the next occupant.
 class EventId {
 public:
   EventId() = default;
@@ -40,8 +43,27 @@ public:
 
 private:
   friend class Simulator;
-  explicit EventId(uint64_t Seq) : Seq(Seq) {}
+  EventId(uint32_t Slot, uint64_t Seq) : Slot(Slot), Seq(Seq) {}
+  uint32_t Slot = 0;
   uint64_t Seq = 0;
+};
+
+/// An intrusive event: an object its owner arms with Simulator::armAfter
+/// instead of scheduling a heap-allocated callback. The owner keeps it alive
+/// while armed and may re-arm it from fire(), or destroy it there; the
+/// simulator does not touch it after fire() is entered. It may be armed at
+/// most once at a time. The simulator holds its address, so it is not
+/// copyable.
+class Event {
+public:
+  Event() = default;
+  Event(const Event &) = delete;
+  Event &operator=(const Event &) = delete;
+
+  virtual void fire() = 0;
+
+protected:
+  ~Event() = default;
 };
 
 /// A single-threaded discrete-event simulator with a virtual clock.
@@ -61,6 +83,10 @@ public:
 
   /// Schedules \p Fn to run \p Delay after now().
   EventId scheduleAfter(Duration Delay, Callback Fn);
+
+  /// Arms \p E to fire \p Delay after now(). Takes a sequence number and
+  /// fires in (time, sequence) order exactly like scheduleAfter().
+  EventId armAfter(Duration Delay, Event &E);
 
   /// Cancels a pending event. Returns true if the event was still pending.
   /// Cancelling an already-fired or already-cancelled event is a no-op.
@@ -83,26 +109,31 @@ public:
   /// Number of events executed since construction.
   uint64_t eventsExecuted() const { return Executed; }
 
-  /// Number of events currently pending (including cancelled tombstones).
+  /// Whether any event is pending (cancelled entries still queued do not
+  /// count).
   bool hasPending() const { return Live != 0; }
 
   // --- Event-queue health (exported as fcl::stats gauges/counters so
   // --- queue degradation is visible in run reports) ----------------------
 
-  /// Callback slots currently tombstoned (cancelled or already fired) but
-  /// not yet compacted out of the lookup vector.
-  uint64_t pendingTombstones() const { return CallbackBySeq.size() - Live; }
+  /// Cancelled entries still queued: their slots are free, but their heap
+  /// entries wait to be popped and skipped.
+  uint64_t pendingTombstones() const { return Queue.size() - Live; }
 
   /// Queue pops that hit a cancelled entry and were skipped.
   uint64_t tombstoneSkips() const { return TombstoneSkips; }
 
-  /// Times the callback vector was compacted to shed tombstones.
-  uint64_t compactionRuns() const { return CompactionRuns; }
+  /// Event slots allocated so far. Freed slots are reused, so this never
+  /// exceeds the peak number of simultaneously pending events.
+  size_t slotCount() const { return Slots.size(); }
 
 private:
+  /// A heap entry. (At, Seq) is the dispatch order; Slot locates the
+  /// payload, which is live only while the slot's Seq still matches.
   struct Entry {
     TimePoint At;
     uint64_t Seq;
+    uint32_t Slot;
     bool operator>(const Entry &RHS) const {
       if (At != RHS.At)
         return At > RHS.At;
@@ -110,15 +141,29 @@ private:
     }
   };
 
-  // Cancellation uses tombstones: the callback is looked up by sequence
-  // number in CallbackBySeq; cancel() erases the mapping, and popped entries
-  // whose callback is gone are skipped.
-  struct SeqCallback {
-    uint64_t Seq;
+  /// A pending event's payload: an intrusive event or a callback. Seq is
+  /// the sequence number of the occupying event, 0 while the slot is free.
+  struct Slot {
+    uint64_t Seq = 0;
+    Event *Intrusive = nullptr;
     Callback Fn;
   };
 
-  Callback takeCallback(uint64_t Seq);
+  /// Takes a sequence number and a slot for an event at \p At and queues
+  /// it; the caller fills in the payload.
+  Slot &enqueue(TimePoint At, EventId &Id);
+
+  /// Returns a slot to the free list.
+  void release(uint32_t Idx);
+
+  /// Whether the earliest queued entry was cancelled.
+  bool topIsTombstone() const {
+    const Entry &Top = Queue.top();
+    return Slots[Top.Slot].Seq != Top.Seq;
+  }
+
+  /// Pops the earliest entry, which must be live, and runs its payload.
+  void dispatchTop();
 
   /// This simulator's race-analyzer domain, allocated lazily on the first
   /// hook so unanalyzed runs never touch the analyzer. Event sequence
@@ -141,7 +186,6 @@ private:
   uint64_t Live = 0;
   uint64_t Cancelled = 0;
   uint64_t TombstoneSkips = 0;
-  uint64_t CompactionRuns = 0;
   /// True while a run loop is active, so re-entrant pumping from event
   /// callbacks skips the "sim.run" profiler phase and the counter flush.
   bool InRunLoop = false;
@@ -154,11 +198,11 @@ private:
     uint64_t Cancelled = 0;
     uint64_t Executed = 0;
     uint64_t TombstoneSkips = 0;
-    uint64_t CompactionRuns = 0;
   } LastProfFlush;
 
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> Queue;
-  std::vector<SeqCallback> CallbackBySeq; // Sorted by insertion (ascending).
+  std::vector<Slot> Slots;
+  std::vector<uint32_t> FreeSlots;
 };
 
 } // namespace sim

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 using namespace fcl;
@@ -401,6 +402,111 @@ TEST(GpuEngineTest, BoundaryLoweredMidKernelShortensExecution) {
   EXPECT_LT(Cutoff->payload(), 4096u);
   EXPECT_GE(Cutoff->payload(), 2048u);
   EXPECT_LT(CutTime.nanos(), FullTime.nanos() * 3 / 4);
+}
+
+/// A 1024-group syrk launch over 512x512 matrices with in-loop abort checks
+/// (several checkpoints per wave).
+LaunchDesc syrkInLoopDesc(Buffer &A, Buffer &C) {
+  LaunchDesc Desc;
+  Desc.Kernel = &kern::Registry::builtin().get("syrk_kernel");
+  Desc.Range = kern::NDRange::of2D(512, 512, 32, 8);
+  Desc.Args = {LaunchArg::buffer(&A), LaunchArg::buffer(&C),
+               LaunchArg::scalarFp(1.0), LaunchArg::scalarFp(1.0),
+               LaunchArg::scalarInt(512), LaunchArg::scalarInt(512)};
+  Desc.Abort.Kind = hw::AbortPolicyKind::InLoop;
+  return Desc;
+}
+
+/// Outcome of one in-loop-abort GPU launch, for pinning checkpoint ties.
+struct CheckpointRun {
+  uint64_t Executed = 0;
+  uint64_t Wasted = 0;
+  int64_t EndNs = 0;
+  /// Simulated nanosecond of every status-word read, in order.
+  std::vector<int64_t> BoundaryReads;
+};
+
+/// Runs syrkInLoopDesc() on a fresh context. When \p DropAt is set, the
+/// CPU-completion boundary drops to 60, inside the first 112-group wave, at
+/// exactly that nanosecond: by an event scheduled before the launch, which
+/// fires ahead of a GPU checkpoint armed for the same nanosecond, or
+/// (\p BehindTie) by a zero-delay follow-up event, which fires behind it.
+CheckpointRun runWithBoundaryDrop(std::optional<int64_t> DropAt,
+                                  bool BehindTie) {
+  Context Ctx(hw::paperMachine(), ExecMode::TimingOnly);
+  sim::Simulator &Sim = Ctx.simulator();
+  auto Queue = Ctx.createQueue(Ctx.gpu());
+  auto A = Ctx.createBuffer(Ctx.gpu(), 512 * 512 * 4);
+  auto C = Ctx.createBuffer(Ctx.gpu(), 512 * 512 * 4);
+  auto Boundary = std::make_shared<uint64_t>(1ull << 40);
+  auto Lower = [Boundary] { *Boundary = 60; };
+  if (DropAt) {
+    if (BehindTie)
+      Sim.scheduleAt(TimePoint(*DropAt), [&Sim, Lower] {
+        Sim.scheduleAfter(Duration::zero(), Lower);
+      });
+    else
+      Sim.scheduleAt(TimePoint(*DropAt), Lower);
+  }
+  CheckpointRun Out;
+  LaunchDesc Desc = syrkInLoopDesc(*A, *C);
+  Desc.AbortBoundary = [&Out, &Ctx, Boundary] {
+    Out.BoundaryReads.push_back(Ctx.now().nanos());
+    return *Boundary;
+  };
+  auto Counters = std::make_shared<LaunchCounters>();
+  Desc.Counters = Counters;
+  EventPtr Done = Queue->enqueueKernel(std::move(Desc));
+  Done->wait();
+  Out.Executed = Done->payload();
+  Out.Wasted = Counters->GroupsWasted;
+  Out.EndNs = Ctx.now().nanos();
+  return Out;
+}
+
+TEST(GpuEngineTest, BoundaryDropAtCheckpointNanosecondIsSeenByThatCheckpoint) {
+  CheckpointRun Full = runWithBoundaryDrop(std::nullopt, false);
+  EXPECT_EQ(Full.Executed, 1024u);
+  EXPECT_EQ(Full.Wasted, 0u);
+  EXPECT_EQ(Full.EndNs, 6140178);
+  // Read 0 is the first wave's start; read 7 is its seventh checkpoint.
+  ASSERT_GT(Full.BoundaryReads.size(), 7u);
+  int64_t Tie = Full.BoundaryReads[7];
+  EXPECT_EQ(Tie, 234851);
+  CheckpointRun Cut = runWithBoundaryDrop(Tie, false);
+  EXPECT_EQ(Cut.Executed, 60u);
+  EXPECT_EQ(Cut.Wasted, 52u);
+  EXPECT_EQ(Cut.EndNs, 511801);
+}
+
+TEST(GpuEngineTest, BoundaryDropBehindCheckpointWaitsForTheNextOne) {
+  // Same drop nanosecond, but behind the checkpoint in sequence order: the
+  // seventh checkpoint misses it and the eighth aborts the same 52 groups,
+  // one segment later.
+  CheckpointRun Cut = runWithBoundaryDrop(234851, true);
+  EXPECT_EQ(Cut.Executed, 60u);
+  EXPECT_EQ(Cut.Wasted, 52u);
+  EXPECT_EQ(Cut.EndNs, 521402);
+}
+
+// The engine, not the pending checkpoint event, owns an in-flight launch:
+// stopping the simulation mid-wave and destroying the context must free it
+// (the sanitizer CI job runs this with leak detection on).
+TEST(GpuEngineTest, ContextDestroyedMidLaunchFreesTheLaunch) {
+  bool Completed = false;
+  {
+    Context Ctx(hw::paperMachine(), ExecMode::TimingOnly);
+    auto A = Ctx.createBuffer(Ctx.gpu(), 512 * 512 * 4);
+    auto C = Ctx.createBuffer(Ctx.gpu(), 512 * 512 * 4);
+    LaunchDesc Desc = syrkInLoopDesc(*A, *C);
+    Desc.AbortBoundary = [] { return uint64_t(1) << 40; };
+    Ctx.gpu().executeLaunch(Desc,
+                            [&Completed](uint64_t) { Completed = true; });
+    // About 6 ms of work: stop inside the first wave.
+    Ctx.simulator().runUntil(Ctx.now() + Duration::microseconds(100));
+    EXPECT_TRUE(Ctx.simulator().hasPending());
+  }
+  EXPECT_FALSE(Completed);
 }
 
 TEST(GpuEngineTest, LaunchDurationMatchesExecutedTime) {

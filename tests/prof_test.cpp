@@ -15,6 +15,7 @@
 #include "prof/BenchReport.h"
 #include "prof/Profiler.h"
 #include "serve/Engine.h"
+#include "sim/Simulator.h"
 #include "work/Driver.h"
 
 #include <gtest/gtest.h>
@@ -347,7 +348,29 @@ TEST_F(ProfTest, ServeReportCarriesSimQueueHealthStats) {
   std::string Json = Rep.toJson();
   EXPECT_NE(Json.find("sim_events_executed"), std::string::npos);
   EXPECT_NE(Json.find("sim_tombstone_skips"), std::string::npos);
-  EXPECT_NE(Json.find("sim_compaction_runs"), std::string::npos);
+  EXPECT_NE(Json.find("sim_pending_tombstones"), std::string::npos);
+  // Retired with tombstone compaction: absent, not a silent 0.
+  EXPECT_EQ(Json.find("sim_compaction_runs"), std::string::npos);
+}
+
+TEST_F(ProfTest, OnlyEffectiveCancelsAreCounted) {
+  Profiler::instance().setEnabled(true);
+  sim::Simulator Sim;
+  sim::EventId Fired = Sim.scheduleAfter(Duration::nanoseconds(1), [] {});
+  sim::EventId Doomed = Sim.scheduleAfter(Duration::nanoseconds(2), [] {});
+  EXPECT_TRUE(Sim.cancel(Doomed));
+  EXPECT_FALSE(Sim.cancel(Doomed));
+  EXPECT_FALSE(Sim.cancel(sim::EventId()));
+  Sim.run();
+  EXPECT_FALSE(Sim.cancel(Fired));
+  Sim.run(); // Empty queue: nothing to flush, the counters stay put.
+  Sim.scheduleAfter(Duration::nanoseconds(1), [] {});
+  Sim.run();
+  Snapshot S = Profiler::instance().snapshot();
+  EXPECT_EQ(S.Counters.at("sim.events_cancelled"), 1u);
+  EXPECT_EQ(S.Counters.at("sim.events_executed"), 2u);
+  EXPECT_EQ(S.Counters.at("sim.tombstone_skips"), 1u);
+  EXPECT_EQ(S.Counters.count("sim.compaction_runs"), 0u);
 }
 
 } // namespace

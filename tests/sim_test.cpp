@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 using namespace fcl;
@@ -168,7 +169,8 @@ TEST(SimulatorTest, ManyCancellationsCompactWithoutLoss) {
   Simulator Sim;
   int Ran = 0;
   std::vector<EventId> Ids;
-  // Interleave survivors and cancels at a scale that triggers compaction.
+  // Interleave survivors and cancels at scale: every cancelled slot is
+  // reused by a later event.
   for (int I = 0; I < 5000; ++I) {
     if (I % 2 == 0) {
       Ids.push_back(
@@ -198,29 +200,120 @@ TEST(SimulatorTest, TombstoneHealthCountersTrackCancellations) {
   }
   for (EventId Id : Doomed)
     EXPECT_TRUE(Sim.cancel(Id));
-  // Cancelled slots linger as tombstones until their queue entries pop.
+  // Cancelled entries linger in the queue as tombstones until they pop.
   EXPECT_EQ(Sim.pendingTombstones(), Doomed.size());
   Sim.run();
-  // Every cancelled entry was popped and skipped; the vector was cleared
-  // once the last live callback fired.
+  // Every cancelled entry was popped and skipped.
   EXPECT_EQ(Sim.tombstoneSkips(), Doomed.size());
   EXPECT_EQ(Sim.pendingTombstones(), 0u);
   EXPECT_EQ(Sim.eventsExecuted(), 4u);
 }
 
-TEST(SimulatorTest, CompactionRunsCountedUnderHeavyCancellation) {
+TEST(SimulatorTest, RunUntilStopsAtDeadlineBehindTombstone) {
   Simulator Sim;
-  // Enough tombstones to cross the size > 1024 && Live * 2 < size
-  // compaction threshold while cancelling.
-  std::vector<EventId> Ids;
-  for (int I = 0; I < 4000; ++I)
-    Ids.push_back(Sim.scheduleAfter(Duration::nanoseconds(I), [] {}));
-  for (size_t I = 0; I < Ids.size(); I += 4)
-    for (size_t J = 0; J < 3 && I + J < Ids.size(); ++J)
-      EXPECT_TRUE(Sim.cancel(Ids[I + J]));
-  EXPECT_GE(Sim.compactionRuns(), 1u);
+  bool LateRan = false;
+  EventId Early = Sim.scheduleAt(TimePoint(10), [] {});
+  Sim.scheduleAt(TimePoint(100), [&] { LateRan = true; });
+  EXPECT_TRUE(Sim.cancel(Early));
+  Sim.runUntil(TimePoint(50));
+  EXPECT_FALSE(LateRan);
+  EXPECT_EQ(Sim.now().nanos(), 50);
+  EXPECT_EQ(Sim.tombstoneSkips(), 1u);
   Sim.run();
-  EXPECT_EQ(Sim.eventsExecuted(), 1000u);
+  EXPECT_TRUE(LateRan);
+  EXPECT_EQ(Sim.now().nanos(), 100);
+}
+
+TEST(SimulatorTest, SlotCountBoundedByPeakPending) {
+  Simulator Sim;
+  // A million schedule/fire/cancel cycles with at most 8 events pending at
+  // once: freed slots are reused, so the pool never outgrows the peak.
+  std::vector<EventId> Pending;
+  size_t Peak = 0;
+  for (int Cycle = 0; Cycle < 1000000; ++Cycle) {
+    Pending.push_back(
+        Sim.scheduleAfter(Duration::nanoseconds(1 + Cycle % 7), [] {}));
+    Peak = std::max(Peak, Pending.size());
+    if (Pending.size() == 8) {
+      size_t Victim = static_cast<size_t>(Cycle / 8) % 8;
+      EXPECT_TRUE(Sim.cancel(Pending[Victim]));
+      Sim.step();
+      Pending.clear(); // Survivors still fire; their ids are not needed.
+      Sim.run();
+    }
+  }
+  Sim.run();
+  EXPECT_EQ(Peak, 8u);
+  EXPECT_LE(Sim.slotCount(), Peak);
+  EXPECT_EQ(Sim.pendingTombstones(), 0u);
+}
+
+TEST(SimulatorTest, StaleEventIdCannotCancelReusedSlot) {
+  Simulator Sim;
+  EventId Fired = Sim.scheduleAfter(Duration::nanoseconds(1), [] {});
+  Sim.run();
+  // The new event reuses the freed slot under a newer sequence number.
+  bool Ran = false;
+  EventId Reused =
+      Sim.scheduleAfter(Duration::nanoseconds(1), [&] { Ran = true; });
+  EXPECT_EQ(Sim.slotCount(), 1u);
+  EXPECT_NE(Fired, Reused);
+  EXPECT_FALSE(Sim.cancel(Fired));
+  Sim.run();
+  EXPECT_TRUE(Ran);
+  // Likewise for a cancelled handle.
+  EventId Doomed = Sim.scheduleAfter(Duration::nanoseconds(1), [] {});
+  EXPECT_TRUE(Sim.cancel(Doomed));
+  Ran = false;
+  Sim.scheduleAfter(Duration::nanoseconds(1), [&] { Ran = true; });
+  EXPECT_FALSE(Sim.cancel(Doomed));
+  Sim.run();
+  EXPECT_TRUE(Ran);
+  EXPECT_EQ(Sim.slotCount(), 1u);
+}
+
+/// An intrusive event that logs its tag and re-arms itself \p Rearms times.
+struct TaggedEvent final : Event {
+  Simulator &Sim;
+  std::vector<int> &Order;
+  int Tag;
+  int Rearms;
+  TaggedEvent(Simulator &Sim, std::vector<int> &Order, int Tag, int Rearms)
+      : Sim(Sim), Order(Order), Tag(Tag), Rearms(Rearms) {}
+  void fire() override {
+    Order.push_back(Tag);
+    if (Rearms-- > 0)
+      Sim.armAfter(Duration::nanoseconds(5), *this);
+  }
+};
+
+TEST(SimulatorTest, IntrusiveAndCallbackEventsAtEqualTimeFireInSeqOrder) {
+  Simulator Sim;
+  std::vector<int> Order;
+  TaggedEvent A(Sim, Order, 1, 1);
+  TaggedEvent B(Sim, Order, 3, 0);
+  Sim.armAfter(Duration::nanoseconds(5), A);
+  Sim.scheduleAt(TimePoint(5), [&] { Order.push_back(2); });
+  Sim.armAfter(Duration::nanoseconds(5), B);
+  Sim.scheduleAt(TimePoint(5), [&] { Order.push_back(4); });
+  // A re-arms at t=5 for t=10, behind this callback scheduled earlier.
+  Sim.scheduleAt(TimePoint(10), [&] { Order.push_back(5); });
+  Sim.run();
+  EXPECT_EQ(Order, (std::vector<int>{1, 2, 3, 4, 5, 1}));
+  EXPECT_EQ(Sim.eventsExecuted(), 6u);
+  EXPECT_EQ(Sim.now().nanos(), 10);
+}
+
+TEST(SimulatorTest, CancelledIntrusiveEventDoesNotFire) {
+  Simulator Sim;
+  std::vector<int> Order;
+  TaggedEvent A(Sim, Order, 1, 0);
+  EventId Id = Sim.armAfter(Duration::nanoseconds(3), A);
+  EXPECT_TRUE(Sim.cancel(Id));
+  EXPECT_FALSE(Sim.hasPending());
+  Sim.run();
+  EXPECT_TRUE(Order.empty());
+  EXPECT_EQ(Sim.tombstoneSkips(), 1u);
 }
 
 TEST(SimulatorDeathTest, SchedulingInThePastAborts) {

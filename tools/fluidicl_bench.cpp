@@ -84,7 +84,7 @@ double runSimEvents(const SuiteParams &P, prof::BenchReport &Rep) {
       sim::EventId Id =
           Sim.scheduleAfter(Duration::nanoseconds(++Tick % 97), [] {});
       // A quarter of the events are cancelled to exercise the tombstone
-      // and compaction paths the profiler counters watch.
+      // path the profiler counters watch.
       if (I % 4 == 0)
         Cancellable.push_back(Id);
     }
@@ -97,8 +97,6 @@ double runSimEvents(const SuiteParams &P, prof::BenchReport &Rep) {
       static_cast<double>(Sim.eventsExecuted());
   Rep.Metrics["sim_tombstone_skips"] =
       static_cast<double>(Sim.tombstoneSkips());
-  Rep.Metrics["sim_compaction_runs"] =
-      static_cast<double>(Sim.compactionRuns());
   Rep.Meta["events_scheduled"] = std::to_string(Batches * PerBatch);
   return Wall;
 }
