@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Report-identity A/B gate for the report-writing tools: builds
 # fluidicl_sim, fluidicl_serve and fluidicl_cluster at <base-rev> and from
-# the current checkout, runs them over a fixed 35-configuration matrix
-# (6 sim, 19 serve, 10 cluster) and compares report JSON, CSV, Chrome
+# the current checkout, runs them over a fixed 40-configuration matrix
+# (11 sim, 19 serve, 10 cluster) and compares report JSON, CSV, Chrome
 # trace, stdout (minus the "written to <path>" lines) and exit code byte
 # for byte. Any difference fails the gate: refactors that claim unchanged
 # behaviour must leave every one of these outputs identical. The one
@@ -75,6 +75,12 @@ CONFIGS+=("sim --workload=paper --runtime=fluidicl --no-unroll --stats")
 CONFIGS+=("sim --workload=paper --runtime=fluidicl --no-abort-in-loops --stats")
 CONFIGS+=("sim --workload=paper --runtime=fluidicl --check=fail --races=fail")
 CONFIGS+=("sim --workload=syrk --size=128 --runtime=fluidicl --functional --check=fail --races=fail")
+# Sim: each baseline runtime alone, functionally, so its own trace (queue
+# names and command order) is compared too; --runtime=all keeps only the
+# last runtime's trace.
+for r in cpu gpu "static --gpu-fraction=0.6" socl-eager socl-dmda; do
+  CONFIGS+=("sim --workload=bicg --size=256 --runtime=$r --functional")
+done
 # Serve: every policy under both open-loop kinds and two closed loops.
 for p in fifo affine corun; do
   for a in poisson:400 uniform:300 closed:1 closed:0.2; do

@@ -172,20 +172,9 @@ void DagJobExec::enqueueKernelNode(size_t N) {
   const work::KernelCall &Call = W.Calls[N];
   size_t D = NodeDevice[N];
   Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  mcl::LaunchDesc Desc;
-  Desc.Kernel = &kern::Registry::builtin().get(Call.Kernel);
-  Desc.Range = Call.Range;
-  for (const runtime::KArg &A : Call.Args) {
-    if (A.IsBuffer) {
-      Desc.Args.push_back(mcl::LaunchArg::buffer(Bufs[A.Buf][D].get()));
-    } else {
-      mcl::LaunchArg L;
-      L.IntValue = A.IntValue;
-      L.FpValue = A.FpValue;
-      Desc.Args.push_back(L);
-    }
-  }
-  mcl::EventPtr Ev = Qs[D]->enqueueKernel(std::move(Desc));
+  mcl::EventPtr Ev = Qs[D]->enqueueKernel(runtime::bindLaunch(
+      kern::Registry::builtin().get(Call.Kernel), Call.Range, Call.Args,
+      [this, D](runtime::BufferId B) { return Bufs[B][D].get(); }));
   Ev->onComplete([this, N] {
     race::Section RaceS(RaceSec);
     onKernelComplete(N);
@@ -272,7 +261,7 @@ void DagJobExec::finishDag() {
 
 void DagJobExec::finishJob() {
   if (Validate && Ctx.functional())
-    ValidationFailed = !serve::validateResults(W, Init, Results);
+    ValidationFailed = !work::validateResults(W, Init, Results).Valid;
   FCL_CHECK(OnDone, "job finished twice");
   DoneFn Fn = std::move(OnDone);
   OnDone = nullptr;

@@ -37,24 +37,11 @@ KernelExec::KernelExec(Runtime &RT, const kern::KernelInfo &Kernel,
 }
 
 mcl::LaunchDesc KernelExec::buildDesc(const kern::KernelInfo &K,
-                                      mcl::Device &Dev, bool ForGpu) const {
-  mcl::LaunchDesc Desc;
-  Desc.Kernel = &K;
-  Desc.Range = Range;
-  for (size_t I = 0; I < Args.size(); ++I) {
-    if (Args[I].IsBuffer) {
-      Runtime::DualBuffer &B = RT.buf(Args[I].Buf);
-      Desc.Args.push_back(mcl::LaunchArg::buffer(
-          ForGpu ? B.GpuBuf.get() : B.CpuBuf.get()));
-    } else {
-      mcl::LaunchArg A;
-      A.IntValue = Args[I].IntValue;
-      A.FpValue = Args[I].FpValue;
-      Desc.Args.push_back(A);
-    }
-  }
-  (void)Dev;
-  return Desc;
+                                      bool ForGpu) const {
+  return runtime::bindLaunch(K, Range, Args, [&](runtime::BufferId Id) {
+    Runtime::DualBuffer &B = RT.buf(Id);
+    return ForGpu ? B.GpuBuf.get() : B.CpuBuf.get();
+  });
 }
 
 void KernelExec::run() {
@@ -149,7 +136,7 @@ void KernelExec::start(std::function<void()> Done) {
 
 void KernelExec::launchGpuKernel() {
   FCL_PROF_SCOPE("fcl.gpu_launch");
-  mcl::LaunchDesc Desc = buildDesc(Kernel, RT.Ctx.gpu(), /*ForGpu=*/true);
+  mcl::LaunchDesc Desc = buildDesc(Kernel, /*ForGpu=*/true);
   if (CooperativeAllowed) {
     Desc.Abort.Kind = RT.Opts.AbortPolicy;
     Desc.Abort.Unroll = RT.Opts.LoopUnroll;
@@ -288,7 +275,7 @@ void KernelExec::launchNextSubkernel() {
 
   uint64_t Begin = CpuLow - Chunk;
   uint64_t End = CpuLow;
-  mcl::LaunchDesc Desc = buildDesc(*Used, RT.Ctx.cpu(), /*ForGpu=*/false);
+  mcl::LaunchDesc Desc = buildDesc(*Used, /*ForGpu=*/false);
   Desc.FlatBegin = Begin;
   Desc.FlatEnd = End;
   Desc.SplitWorkGroups = RT.Opts.CpuWorkGroupSplit;

@@ -79,8 +79,7 @@ private:
   void releaseScratch();
   void appComplete();
 
-  mcl::LaunchDesc buildDesc(const kern::KernelInfo &K, mcl::Device &Dev,
-                            bool ForGpu) const;
+  mcl::LaunchDesc buildDesc(const kern::KernelInfo &K, bool ForGpu) const;
 
   Runtime &RT;
   const kern::KernelInfo &Kernel;

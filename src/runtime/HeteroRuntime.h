@@ -13,9 +13,12 @@
 ///   * runtime::SingleDeviceRuntime   - CPU-only / GPU-only baselines
 ///   * runtime::StaticPartitionRuntime- manual x% GPU split (Fig. 2/3,
 ///                                      OracleSP)
+///   * runtime::ProfiledSplitRuntime  - Qilin-style per-kernel trained split
 ///   * fluidicl::Runtime              - the paper's contribution
 ///   * socl::SoclRuntime              - StarPU/SOCL-style task scheduler
 ///                                      (eager and dmda policies, Fig. 16)
+///
+/// All but fluidicl::Runtime share the runtime::ManagedRuntime core.
 ///
 /// Because every implementation runs on the same simulated mcl::Context,
 /// execution times are directly comparable and deterministic.
@@ -27,6 +30,7 @@
 
 #include "kern/NDRange.h"
 #include "mcl/Context.h"
+#include "mcl/Launch.h"
 #include "stats/Registry.h"
 #include "stats/Report.h"
 
@@ -66,6 +70,32 @@ struct KArg {
     return A;
   }
 };
+
+/// Binds application-level \p Args into a launch of \p Kernel over
+/// \p Range: each buffer argument maps through \p BufferFor (BufferId ->
+/// mcl::Buffer *), scalars copy verbatim. Every runtime and job executor
+/// builds its launches here.
+template <typename BufferForFn>
+mcl::LaunchDesc bindLaunch(const kern::KernelInfo &Kernel,
+                           const kern::NDRange &Range,
+                           const std::vector<KArg> &Args,
+                           BufferForFn &&BufferFor) {
+  mcl::LaunchDesc Desc;
+  Desc.Kernel = &Kernel;
+  Desc.Range = Range;
+  Desc.Args.reserve(Args.size());
+  for (const KArg &A : Args) {
+    mcl::LaunchArg L;
+    if (A.IsBuffer) {
+      L.Buf = BufferFor(A.Buf);
+    } else {
+      L.IntValue = A.IntValue;
+      L.FpValue = A.FpValue;
+    }
+    Desc.Args.push_back(L);
+  }
+  return Desc;
+}
 
 /// Abstract runtime: the single-device OpenCL programming model the
 /// application was written against.

@@ -37,28 +37,9 @@ bool SplitModel::trained(const std::string &Kernel) const {
 
 ProfiledSplitRuntime::ProfiledSplitRuntime(mcl::Context &Ctx,
                                            const SplitModel &Model)
-    : HeteroRuntime(Ctx), Model(Model), Body(Ctx, 1.0) {}
+    : StaticPartitionRuntime(Ctx, 1.0), Model(Model) {}
 
-BufferId ProfiledSplitRuntime::createBuffer(uint64_t Size,
-                                            std::string DebugName) {
-  return Body.createBuffer(Size, std::move(DebugName));
+double
+ProfiledSplitRuntime::fractionFor(const std::string &KernelName) const {
+  return Model.gpuFraction(KernelName);
 }
-
-void ProfiledSplitRuntime::writeBuffer(BufferId Id, const void *Src,
-                                       uint64_t Bytes) {
-  Body.writeBuffer(Id, Src, Bytes);
-}
-
-void ProfiledSplitRuntime::readBuffer(BufferId Id, void *Dst,
-                                      uint64_t Bytes) {
-  Body.readBuffer(Id, Dst, Bytes);
-}
-
-void ProfiledSplitRuntime::launchKernel(const std::string &KernelName,
-                                        const kern::NDRange &Range,
-                                        const std::vector<KArg> &Args) {
-  Body.setGpuFraction(Model.gpuFraction(KernelName));
-  Body.launchKernel(KernelName, Range, Args);
-}
-
-void ProfiledSplitRuntime::finish() { Body.finish(); }

@@ -14,28 +14,22 @@
 #ifndef FCL_RUNTIME_SINGLEDEVICE_H
 #define FCL_RUNTIME_SINGLEDEVICE_H
 
-#include "runtime/HeteroRuntime.h"
-#include "runtime/ManagedBuffer.h"
-
-#include <memory>
-#include <vector>
+#include "runtime/ManagedRuntime.h"
 
 namespace fcl {
 namespace runtime {
 
 /// Runs every command on one device (the CPU-only and GPU-only baselines).
-class SingleDeviceRuntime final : public HeteroRuntime {
+class SingleDeviceRuntime final : public ManagedRuntime {
 public:
   SingleDeviceRuntime(mcl::Context &Ctx, mcl::DeviceKind Kind);
-  ~SingleDeviceRuntime() override;
 
   std::string name() const override;
-  BufferId createBuffer(uint64_t Size, std::string DebugName) override;
+  /// Uploads eagerly: the host program writes straight to the device.
   void writeBuffer(BufferId Id, const void *Src, uint64_t Bytes) override;
   void readBuffer(BufferId Id, void *Dst, uint64_t Bytes) override;
   void launchKernel(const std::string &KernelName, const kern::NDRange &Range,
                     const std::vector<KArg> &Args) override;
-  void finish() override;
 
   /// Simulated duration the device would need for this launch alone
   /// (used by Table 1 and the SOCL calibration).
@@ -44,14 +38,7 @@ public:
                               const std::vector<KArg> &Args);
 
 private:
-  ManagedBuffer &buf(BufferId Id);
-  mcl::LaunchDesc buildLaunch(const std::string &KernelName,
-                              const kern::NDRange &Range,
-                              const std::vector<KArg> &Args);
-
   mcl::Device &Dev;
-  std::unique_ptr<mcl::CommandQueue> Queue;
-  std::vector<std::unique_ptr<ManagedBuffer>> Buffers;
 };
 
 } // namespace runtime

@@ -11,109 +11,52 @@
 #include "support/Format.h"
 
 #include <cmath>
-#include <cstring>
 
 using namespace fcl;
 using namespace fcl::runtime;
 
 StaticPartitionRuntime::StaticPartitionRuntime(mcl::Context &Ctx,
                                                double GpuFraction)
-    : HeteroRuntime(Ctx), GpuFraction(GpuFraction),
-      GpuQueue(Ctx.createQueue(Ctx.gpu(), "sp-gpu")),
-      CpuQueue(Ctx.createQueue(Ctx.cpu(), "sp-cpu")) {
+    : ManagedRuntime(Ctx, "sp-gpu", "sp-cpu"), GpuFraction(GpuFraction) {
   FCL_CHECK(GpuFraction >= 0.0 && GpuFraction <= 1.0,
             "GPU fraction out of [0,1]");
-}
-
-StaticPartitionRuntime::~StaticPartitionRuntime() {
-  GpuQueue->finish();
-  CpuQueue->finish();
-}
-
-void StaticPartitionRuntime::setGpuFraction(double Fraction) {
-  FCL_CHECK(Fraction >= 0.0 && Fraction <= 1.0, "GPU fraction out of [0,1]");
-  GpuFraction = Fraction;
 }
 
 std::string StaticPartitionRuntime::name() const {
   return formatString("Static%2.0f", GpuFraction * 100.0);
 }
 
-ManagedBuffer &StaticPartitionRuntime::buf(BufferId Id) {
-  FCL_CHECK(Id < Buffers.size(), "invalid buffer id");
-  return *Buffers[Id];
+double StaticPartitionRuntime::fractionFor(const std::string &) const {
+  return GpuFraction;
 }
 
-BufferId StaticPartitionRuntime::createBuffer(uint64_t Size,
-                                              std::string DebugName) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  Buffers.push_back(
-      std::make_unique<ManagedBuffer>(Ctx, Size, std::move(DebugName)));
-  return static_cast<BufferId>(Buffers.size() - 1);
-}
-
-void StaticPartitionRuntime::writeBuffer(BufferId Id, const void *Src,
-                                         uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  buf(Id).writeFromHost(Src, Bytes);
-}
-
-void StaticPartitionRuntime::readBuffer(BufferId Id, void *Dst,
-                                        uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  ManagedBuffer &B = buf(Id);
-  FCL_CHECK(Bytes <= B.size(), "read overruns buffer");
-  if (!B.hostValid()) {
-    mcl::Device *Src = B.anyValidDevice(&Ctx.gpu());
-    FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
-    B.ensureHost(Src->kind() == mcl::DeviceKind::Gpu ? *GpuQueue : *CpuQueue);
-  }
-  if (Dst && B.hostData())
-    std::memcpy(Dst, B.hostData(), Bytes);
-}
-
-void StaticPartitionRuntime::launchOn(mcl::Device &Dev,
-                                      mcl::CommandQueue &Queue,
-                                      const kern::KernelInfo &Kernel,
-                                      const kern::NDRange &Range,
-                                      const std::vector<KArg> &Args,
-                                      uint64_t FlatBegin, uint64_t FlatEnd,
-                                      mcl::EventPtr &Done) {
-  mcl::LaunchDesc Desc;
-  Desc.Kernel = &Kernel;
-  Desc.Range = Range;
+mcl::EventPtr StaticPartitionRuntime::launchOn(mcl::Device &Dev,
+                                               const kern::KernelInfo &Kernel,
+                                               const kern::NDRange &Range,
+                                               const std::vector<KArg> &Args,
+                                               uint64_t FlatBegin,
+                                               uint64_t FlatEnd) {
+  mcl::LaunchDesc Desc = bindOn(Dev, Kernel, Range, Args);
   Desc.FlatBegin = FlatBegin;
   Desc.FlatEnd = FlatEnd;
-  for (const KArg &A : Args) {
-    if (A.IsBuffer) {
-      Desc.Args.push_back(mcl::LaunchArg::buffer(&buf(A.Buf).on(Dev)));
-    } else {
-      mcl::LaunchArg L;
-      L.IntValue = A.IntValue;
-      L.FpValue = A.FpValue;
-      Desc.Args.push_back(L);
-    }
-  }
-  Done = Queue.enqueueKernel(std::move(Desc));
+  return queueFor(Dev).enqueueKernel(std::move(Desc));
 }
 
 void StaticPartitionRuntime::launchKernel(const std::string &KernelName,
                                           const kern::NDRange &Range,
                                           const std::vector<KArg> &Args) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  const kern::KernelInfo &Kernel = kern::Registry::builtin().get(KernelName);
-  FCL_CHECK(Kernel.Args.size() == Args.size(), "argument arity mismatch");
+  const kern::KernelInfo &Kernel = beginLaunch(KernelName, Args);
+  double Fraction = fractionFor(KernelName);
 
   uint64_t Total = Range.totalGroups();
   uint64_t GpuGroups = static_cast<uint64_t>(
-      std::llround(GpuFraction * static_cast<double>(Total)));
+      std::llround(Fraction * static_cast<double>(Total)));
   if (GpuGroups > Total)
     GpuGroups = Total;
   bool UsesGpu = GpuGroups > 0;
   bool UsesCpu = GpuGroups < Total;
 
-  Stats.add("kernel_launches");
-  Stats.add("workgroups_total", Total);
+  countLaunch(Total);
   Stats.add("gpu_workgroups_completed", GpuGroups);
   Stats.add("cpu_workgroups_completed", Total - GpuGroups);
 
@@ -125,16 +68,11 @@ void StaticPartitionRuntime::launchKernel(const std::string &KernelName,
     if (!Args[I].IsBuffer)
       continue;
     ManagedBuffer &B = buf(Args[I].Buf);
-    if (!B.hostValid()) {
-      mcl::Device *Src = B.anyValidDevice(&Ctx.gpu());
-      FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
-      B.ensureHost(Src->kind() == mcl::DeviceKind::Gpu ? *GpuQueue
-                                                       : *CpuQueue);
-    }
+    ensureHost(B, &Ctx.gpu());
     if (UsesGpu)
-      B.ensureOn(Ctx.gpu(), *GpuQueue);
+      B.ensureOn(Ctx.gpu(), queueFor(Ctx.gpu()));
     if (UsesCpu)
-      B.ensureOn(Ctx.cpu(), *CpuQueue);
+      B.ensureOn(Ctx.cpu(), queueFor(Ctx.cpu()));
     if (kern::isWrittenAccess(Kernel.Args[I]))
       WrittenArgIdx.push_back(I);
   }
@@ -151,20 +89,16 @@ void StaticPartitionRuntime::launchKernel(const std::string &KernelName,
 
   mcl::EventPtr GpuDone, CpuDone;
   if (UsesGpu)
-    launchOn(Ctx.gpu(), *GpuQueue, Kernel, Range, Args, 0, GpuGroups,
-             GpuDone);
+    GpuDone = launchOn(Ctx.gpu(), Kernel, Range, Args, 0, GpuGroups);
   if (UsesCpu)
-    launchOn(Ctx.cpu(), *CpuQueue, Kernel, Range, Args, GpuGroups, Total,
-             CpuDone);
+    CpuDone = launchOn(Ctx.cpu(), Kernel, Range, Args, GpuGroups, Total);
   if (GpuDone)
     GpuDone->wait();
   if (CpuDone)
     CpuDone->wait();
 
   if (!BothDevices) {
-    mcl::Device &Only = UsesGpu ? Ctx.gpu() : Ctx.cpu();
-    for (size_t I : WrittenArgIdx)
-      buf(Args[I].Buf).markDeviceExclusive(Only);
+    markWritten(UsesGpu ? Ctx.gpu() : Ctx.cpu(), Kernel, Args);
     return;
   }
 
@@ -179,10 +113,10 @@ void StaticPartitionRuntime::launchKernel(const std::string &KernelName,
       GpuCopy.resize(B.size());
       CpuCopy.resize(B.size());
     }
-    mcl::EventPtr RG = GpuQueue->enqueueRead(
+    mcl::EventPtr RG = queueFor(Ctx.gpu()).enqueueRead(
         B.on(Ctx.gpu()), GpuCopy.empty() ? nullptr : GpuCopy.data(),
         B.size());
-    mcl::EventPtr RC = CpuQueue->enqueueRead(
+    mcl::EventPtr RC = queueFor(Ctx.cpu()).enqueueRead(
         B.on(Ctx.cpu()), CpuCopy.empty() ? nullptr : CpuCopy.data(),
         B.size());
     RG->wait();
@@ -203,9 +137,4 @@ void StaticPartitionRuntime::launchKernel(const std::string &KernelName,
     B.markHostCurrent();
     B.invalidateDevices();
   }
-}
-
-void StaticPartitionRuntime::finish() {
-  GpuQueue->finish();
-  CpuQueue->finish();
 }

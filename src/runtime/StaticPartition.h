@@ -17,48 +17,34 @@
 #ifndef FCL_RUNTIME_STATICPARTITION_H
 #define FCL_RUNTIME_STATICPARTITION_H
 
-#include "runtime/HeteroRuntime.h"
-#include "runtime/ManagedBuffer.h"
-
-#include <memory>
-#include <vector>
+#include "runtime/ManagedRuntime.h"
 
 namespace fcl {
 namespace runtime {
 
 /// Splits every kernel launch at a fixed GPU work fraction.
-class StaticPartitionRuntime final : public HeteroRuntime {
+class StaticPartitionRuntime : public ManagedRuntime {
 public:
   /// \p GpuFraction in [0, 1]: share of flat work-groups (from the low end)
   /// run on the GPU; the rest runs on the CPU.
   StaticPartitionRuntime(mcl::Context &Ctx, double GpuFraction);
-  ~StaticPartitionRuntime() override;
 
   std::string name() const override;
-  BufferId createBuffer(uint64_t Size, std::string DebugName) override;
-  void writeBuffer(BufferId Id, const void *Src, uint64_t Bytes) override;
-  void readBuffer(BufferId Id, void *Dst, uint64_t Bytes) override;
   void launchKernel(const std::string &KernelName, const kern::NDRange &Range,
                     const std::vector<KArg> &Args) override;
-  void finish() override;
 
-  double gpuFraction() const { return GpuFraction; }
-
-  /// Adjusts the split for subsequent launches (used by the Qilin-style
-  /// ProfiledSplitRuntime to apply per-kernel trained fractions).
-  void setGpuFraction(double Fraction);
+protected:
+  /// GPU share for one launch of \p KernelName (the fixed fraction here;
+  /// ProfiledSplitRuntime looks up its trained per-kernel split).
+  virtual double fractionFor(const std::string &KernelName) const;
 
 private:
-  ManagedBuffer &buf(BufferId Id);
-  void launchOn(mcl::Device &Dev, mcl::CommandQueue &Queue,
-                const kern::KernelInfo &Kernel, const kern::NDRange &Range,
-                const std::vector<KArg> &Args, uint64_t FlatBegin,
-                uint64_t FlatEnd, mcl::EventPtr &Done);
+  mcl::EventPtr launchOn(mcl::Device &Dev, const kern::KernelInfo &Kernel,
+                         const kern::NDRange &Range,
+                         const std::vector<KArg> &Args, uint64_t FlatBegin,
+                         uint64_t FlatEnd);
 
   double GpuFraction;
-  std::unique_ptr<mcl::CommandQueue> GpuQueue;
-  std::unique_ptr<mcl::CommandQueue> CpuQueue;
-  std::vector<std::unique_ptr<ManagedBuffer>> Buffers;
 };
 
 } // namespace runtime

@@ -10,29 +10,8 @@
 #include "support/Error.h"
 #include "work/Driver.h"
 
-#include <cmath>
-
 using namespace fcl;
 using namespace fcl::serve;
-
-bool fcl::serve::validateResults(
-    const work::Workload &W, std::vector<std::vector<std::byte>> &Host,
-    const std::vector<std::vector<std::byte>> &Results) {
-  work::computeReference(W, Host);
-  for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
-    const auto *Got = reinterpret_cast<const float *>(Results[R].data());
-    const auto *Want =
-        reinterpret_cast<const float *>(Host[W.ResultBuffers[R]].data());
-    uint64_t Count = Results[R].size() / sizeof(float);
-    for (uint64_t J = 0; J < Count; ++J) {
-      double Err = std::fabs(static_cast<double>(Got[J]) - Want[J]);
-      double Tol = 1e-5 + 1e-5 * std::fabs(Want[J]);
-      if (Err > Tol)
-        return false;
-    }
-  }
-  return true;
-}
 
 // --- CoopJobExec -----------------------------------------------------------
 
@@ -89,7 +68,7 @@ void CoopJobExec::readNext() {
 
 void CoopJobExec::finishJob() {
   if (Validate && Ctx.functional())
-    ValidationFailed = !validateResults(W, Host, Results);
+    ValidationFailed = !work::validateResults(W, Host, Results).Valid;
   FCL_CHECK(OnDone, "job finished twice");
   DoneFn Fn = std::move(OnDone);
   OnDone = nullptr;
@@ -120,20 +99,9 @@ void SingleJobExec::start(DoneFn Done) {
   }
   for (const work::KernelCall &Call : W.Calls) {
     Ctx.hostAdvance(Api);
-    mcl::LaunchDesc Desc;
-    Desc.Kernel = &kern::Registry::builtin().get(Call.Kernel);
-    Desc.Range = Call.Range;
-    for (const runtime::KArg &A : Call.Args) {
-      if (A.IsBuffer) {
-        Desc.Args.push_back(mcl::LaunchArg::buffer(Bufs[A.Buf].get()));
-      } else {
-        mcl::LaunchArg L;
-        L.IntValue = A.IntValue;
-        L.FpValue = A.FpValue;
-        Desc.Args.push_back(L);
-      }
-    }
-    Q->enqueueKernel(std::move(Desc));
+    Q->enqueueKernel(runtime::bindLaunch(
+        kern::Registry::builtin().get(Call.Kernel), Call.Range, Call.Args,
+        [this](runtime::BufferId B) { return Bufs[B].get(); }));
   }
   Results.resize(W.ResultBuffers.size());
   for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
@@ -152,7 +120,7 @@ void SingleJobExec::start(DoneFn Done) {
 
 void SingleJobExec::finishJob() {
   if (Validate && Ctx.functional())
-    ValidationFailed = !validateResults(W, Host, Results);
+    ValidationFailed = !work::validateResults(W, Host, Results).Valid;
   FCL_CHECK(OnDone, "job finished twice");
   DoneFn Fn = std::move(OnDone);
   OnDone = nullptr;

@@ -121,13 +121,6 @@ private:
   DoneFn OnDone;
 };
 
-/// Validates \p Results (one vector per W.ResultBuffers entry) against the
-/// host reference; returns true when every float matches within tolerance.
-/// Shared by both executors and only meaningful in functional mode.
-bool validateResults(const work::Workload &W,
-                     std::vector<std::vector<std::byte>> &Host,
-                     const std::vector<std::vector<std::byte>> &Results);
-
 } // namespace serve
 } // namespace fcl
 

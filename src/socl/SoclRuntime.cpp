@@ -6,63 +6,16 @@
 
 #include "socl/SoclRuntime.h"
 
-#include "kern/Registry.h"
-#include "support/Error.h"
-#include "support/Log.h"
-
-#include <cstring>
-
 using namespace fcl;
 using namespace fcl::socl;
 
 SoclRuntime::SoclRuntime(mcl::Context &Ctx, Policy P, PerfModel &Model,
                          bool Calibrating, uint64_t TaskSeed)
-    : HeteroRuntime(Ctx), P(P), Model(Model), Calibrating(Calibrating),
-      TaskCounter(TaskSeed),
-      GpuQueue(Ctx.createQueue(Ctx.gpu(), "socl-gpu")),
-      CpuQueue(Ctx.createQueue(Ctx.cpu(), "socl-cpu")) {}
-
-SoclRuntime::~SoclRuntime() { finish(); }
+    : ManagedRuntime(Ctx, "socl-gpu", "socl-cpu"), P(P), Model(Model),
+      Calibrating(Calibrating), TaskCounter(TaskSeed) {}
 
 std::string SoclRuntime::name() const {
   return P == Policy::Eager ? "SOCL-eager" : "SOCL-dmda";
-}
-
-runtime::ManagedBuffer &SoclRuntime::buf(runtime::BufferId Id) {
-  FCL_CHECK(Id < Buffers.size(), "invalid buffer id");
-  return *Buffers[Id];
-}
-
-runtime::BufferId SoclRuntime::createBuffer(uint64_t Size,
-                                            std::string DebugName) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  Buffers.push_back(std::make_unique<runtime::ManagedBuffer>(
-      Ctx, Size, std::move(DebugName)));
-  return static_cast<runtime::BufferId>(Buffers.size() - 1);
-}
-
-void SoclRuntime::writeBuffer(runtime::BufferId Id, const void *Src,
-                              uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  buf(Id).writeFromHost(Src, Bytes);
-}
-
-void SoclRuntime::readBuffer(runtime::BufferId Id, void *Dst,
-                             uint64_t Bytes) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  runtime::ManagedBuffer &B = buf(Id);
-  FCL_CHECK(Bytes <= B.size(), "read overruns buffer");
-  if (!B.hostValid()) {
-    mcl::Device *Src = B.anyValidDevice(&Ctx.gpu());
-    FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
-    B.ensureHost(queueFor(*Src));
-  }
-  if (Dst && B.hostData())
-    std::memcpy(Dst, B.hostData(), Bytes);
-}
-
-mcl::CommandQueue &SoclRuntime::queueFor(mcl::Device &Dev) {
-  return Dev.kind() == mcl::DeviceKind::Gpu ? *GpuQueue : *CpuQueue;
 }
 
 Duration
@@ -109,16 +62,13 @@ mcl::Device &SoclRuntime::chooseDevice(const std::string &KernelName,
 void SoclRuntime::launchKernel(const std::string &KernelName,
                                const kern::NDRange &Range,
                                const std::vector<runtime::KArg> &Args) {
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  const kern::KernelInfo &Kernel = kern::Registry::builtin().get(KernelName);
-  FCL_CHECK(Kernel.Args.size() == Args.size(), "argument arity mismatch");
+  const kern::KernelInfo &Kernel = beginLaunch(KernelName, Args);
 
   mcl::Device &Dev = chooseDevice(KernelName, Range, Args);
   ++TaskCounter;
   Placements.push_back(Dev.kind());
   bool OnGpu = Dev.kind() == mcl::DeviceKind::Gpu;
-  Stats.add("kernel_launches");
-  Stats.add("workgroups_total", Range.totalGroups());
+  countLaunch(Range.totalGroups());
   Stats.add(OnGpu ? "tasks_gpu" : "tasks_cpu");
   Stats.add(OnGpu ? "gpu_workgroups_completed" : "cpu_workgroups_completed",
             Range.totalGroups());
@@ -131,30 +81,13 @@ void SoclRuntime::launchKernel(const std::string &KernelName,
     runtime::ManagedBuffer &B = buf(A.Buf);
     if (B.validOn(Dev))
       continue;
-    if (!B.hostValid()) {
-      mcl::Device *Src = B.anyValidDevice();
-      FCL_CHECK(Src != nullptr, "buffer has no valid copy anywhere");
-      B.ensureHost(queueFor(*Src));
-    }
+    ensureHost(B, /*Preferred=*/nullptr);
     B.ensureOn(Dev, Queue);
-  }
-
-  mcl::LaunchDesc Desc;
-  Desc.Kernel = &Kernel;
-  Desc.Range = Range;
-  for (const runtime::KArg &A : Args) {
-    if (A.IsBuffer) {
-      Desc.Args.push_back(mcl::LaunchArg::buffer(&buf(A.Buf).on(Dev)));
-    } else {
-      mcl::LaunchArg L;
-      L.IntValue = A.IntValue;
-      L.FpValue = A.FpValue;
-      Desc.Args.push_back(L);
-    }
   }
 
   // Measure the kernel alone (transfers excluded) for the history model,
   // bracketing it with an in-order queue callback.
+  mcl::LaunchDesc Desc = bindOn(Dev, Kernel, Range, Args);
   auto KernelStart = std::make_shared<TimePoint>();
   Queue.enqueueCallback([this, KernelStart] { *KernelStart = Ctx.now(); });
   mcl::EventPtr Done = Queue.enqueueKernel(std::move(Desc));
@@ -162,12 +95,5 @@ void SoclRuntime::launchKernel(const std::string &KernelName,
   Model.record(KernelName, Range.totalItems(), Dev.kind(),
                Done->completeTime() - *KernelStart);
 
-  for (size_t I = 0; I < Args.size(); ++I)
-    if (Args[I].IsBuffer && kern::isWrittenAccess(Kernel.Args[I]))
-      buf(Args[I].Buf).markDeviceExclusive(Dev);
-}
-
-void SoclRuntime::finish() {
-  GpuQueue->finish();
-  CpuQueue->finish();
+  markWritten(Dev, Kernel, Args);
 }

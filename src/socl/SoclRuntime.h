@@ -26,11 +26,9 @@
 #ifndef FCL_SOCL_SOCLRUNTIME_H
 #define FCL_SOCL_SOCLRUNTIME_H
 
-#include "runtime/HeteroRuntime.h"
-#include "runtime/ManagedBuffer.h"
+#include "runtime/ManagedRuntime.h"
 #include "socl/PerfModel.h"
 
-#include <memory>
 #include <vector>
 
 namespace fcl {
@@ -43,7 +41,7 @@ enum class Policy {
 };
 
 /// SOCL-like heterogeneous task runtime.
-class SoclRuntime final : public runtime::HeteroRuntime {
+class SoclRuntime final : public runtime::ManagedRuntime {
 public:
   /// \p Model is the (externally owned) performance-model store; dmda
   /// reads estimates from it, and *all* runs record into it - run the
@@ -53,17 +51,10 @@ public:
   /// calibration runs of single-kernel applications sample both devices.
   SoclRuntime(mcl::Context &Ctx, Policy P, PerfModel &Model,
               bool Calibrating = false, uint64_t TaskSeed = 0);
-  ~SoclRuntime() override;
 
   std::string name() const override;
-  runtime::BufferId createBuffer(uint64_t Size,
-                                 std::string DebugName) override;
-  void writeBuffer(runtime::BufferId Id, const void *Src,
-                   uint64_t Bytes) override;
-  void readBuffer(runtime::BufferId Id, void *Dst, uint64_t Bytes) override;
   void launchKernel(const std::string &KernelName, const kern::NDRange &Range,
                     const std::vector<runtime::KArg> &Args) override;
-  void finish() override;
 
   /// Device chosen for each task so far (for tests).
   const std::vector<mcl::DeviceKind> &placements() const {
@@ -71,11 +62,9 @@ public:
   }
 
 private:
-  runtime::ManagedBuffer &buf(runtime::BufferId Id);
   mcl::Device &chooseDevice(const std::string &KernelName,
                             const kern::NDRange &Range,
                             const std::vector<runtime::KArg> &Args);
-  mcl::CommandQueue &queueFor(mcl::Device &Dev);
   Duration pendingTransferCost(mcl::Device &Dev,
                                const std::vector<runtime::KArg> &Args);
 
@@ -83,9 +72,6 @@ private:
   PerfModel &Model;
   bool Calibrating;
   uint64_t TaskCounter = 0;
-  std::unique_ptr<mcl::CommandQueue> GpuQueue;
-  std::unique_ptr<mcl::CommandQueue> CpuQueue;
-  std::vector<std::unique_ptr<runtime::ManagedBuffer>> Buffers;
   std::vector<mcl::DeviceKind> Placements;
 };
 

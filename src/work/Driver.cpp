@@ -9,7 +9,6 @@
 #include "fluidicl/Runtime.h"
 #include "kern/Registry.h"
 #include "runtime/SingleDevice.h"
-#include "runtime/ProfiledSplit.h"
 #include "runtime/StaticPartition.h"
 #include "socl/SoclRuntime.h"
 #include "support/Error.h"
@@ -20,6 +19,13 @@
 
 using namespace fcl;
 using namespace fcl::work;
+
+namespace {
+
+/// Calibration runs before a measured SOCL-dmda run.
+constexpr int DmdaCalibrationRuns = 10;
+
+} // namespace
 
 std::vector<std::vector<std::byte>> fcl::work::initHostData(const Workload &W) {
   std::vector<std::vector<std::byte>> Bufs;
@@ -68,6 +74,30 @@ void fcl::work::computeReference(const Workload &W,
   }
 }
 
+Validation fcl::work::validateResults(
+    const Workload &W, std::vector<std::vector<std::byte>> &Host,
+    const std::vector<std::vector<std::byte>> &Results) {
+  computeReference(W, Host);
+  Validation V;
+  for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
+    const auto *Got = reinterpret_cast<const float *>(Results[R].data());
+    const auto *Want =
+        reinterpret_cast<const float *>(Host[W.ResultBuffers[R]].data());
+    uint64_t Count = Results[R].size() / sizeof(float);
+    for (uint64_t J = 0; J < Count; ++J) {
+      double Err = std::fabs(static_cast<double>(Got[J]) - Want[J]);
+      if (Err > V.MaxAbsError)
+        V.MaxAbsError = Err;
+      // Identical operation order on every path: results must agree to
+      // tiny float noise (merge copies bytes verbatim).
+      double Tol = 1e-5 + 1e-5 * std::fabs(Want[J]);
+      if (Err > Tol)
+        V.Valid = false;
+    }
+  }
+  return V;
+}
+
 RunResult fcl::work::runWorkload(runtime::HeteroRuntime &RT, const Workload &W,
                                  bool Validate) {
   mcl::Context &Ctx = RT.context();
@@ -114,68 +144,109 @@ RunResult fcl::work::runWorkload(runtime::HeteroRuntime &RT, const Workload &W,
   RT.finish();
 
   if (Validate && Functional) {
-    computeReference(W, Host);
+    Validation V = validateResults(W, Host, Results);
     Res.Validated = true;
-    Res.Valid = true;
-    for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
-      const auto *Got = reinterpret_cast<const float *>(Results[R].data());
-      const auto *Want =
-          reinterpret_cast<const float *>(Host[W.ResultBuffers[R]].data());
-      uint64_t Count = Results[R].size() / sizeof(float);
-      for (uint64_t J = 0; J < Count; ++J) {
-        double Err = std::fabs(static_cast<double>(Got[J]) - Want[J]);
-        if (Err > Res.MaxAbsError)
-          Res.MaxAbsError = Err;
-        // Identical operation order on every path: results must agree to
-        // tiny float noise (merge copies bytes verbatim).
-        double Tol = 1e-5 + 1e-5 * std::fabs(Want[J]);
-        if (Err > Tol)
-          Res.Valid = false;
-      }
-    }
+    Res.Valid = V.Valid;
+    Res.MaxAbsError = V.MaxAbsError;
   }
   return Res;
 }
 
-Duration fcl::work::timeUnder(RuntimeKind K, const Workload &W,
-                              const RunConfig &C) {
-  switch (K) {
-  case RuntimeKind::CpuOnly: {
-    mcl::Context Ctx(C.M, C.Mode);
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Cpu);
-    return runWorkload(RT, W, false).Total;
-  }
-  case RuntimeKind::GpuOnly: {
-    mcl::Context Ctx(C.M, C.Mode);
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Gpu);
-    return runWorkload(RT, W, false).Total;
-  }
-  case RuntimeKind::FluidiCL: {
-    mcl::Context Ctx(C.M, C.Mode);
-    fluidicl::Runtime RT(Ctx, C.FclOpts);
-    return runWorkload(RT, W, false).Total;
-  }
-  case RuntimeKind::SoclEager: {
-    socl::PerfModel Model;
-    mcl::Context Ctx(C.M, C.Mode);
-    socl::SoclRuntime RT(Ctx, socl::Policy::Eager, Model);
-    return runWorkload(RT, W, false).Total;
-  }
-  case RuntimeKind::SoclDmda: {
-    socl::PerfModel Model;
-    for (int I = 0; I < C.DmdaCalibrationRuns; ++I) {
-      mcl::Context Ctx(C.M, C.Mode);
-      socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model,
-                           /*Calibrating=*/true,
-                           /*TaskSeed=*/static_cast<uint64_t>(I));
-      runWorkload(RT, W, false);
+const std::vector<RuntimeName> &fcl::work::runtimeTable() {
+  static const std::vector<RuntimeName> Table = {
+      {"cpu", RuntimeKind::CpuOnly},
+      {"gpu", RuntimeKind::GpuOnly},
+      {"static", RuntimeKind::StaticPartition},
+      {"socl-eager", RuntimeKind::SoclEager},
+      {"socl-dmda", RuntimeKind::SoclDmda},
+      {"fluidicl", RuntimeKind::FluidiCL},
+  };
+  return Table;
+}
+
+bool fcl::work::runtimeByName(const std::string &Name, RuntimeKind &Out) {
+  for (const RuntimeName &R : runtimeTable())
+    if (Name == R.Name) {
+      Out = R.Kind;
+      return true;
     }
-    mcl::Context Ctx(C.M, C.Mode);
-    socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model);
-    return runWorkload(RT, W, false).Total;
+  return false;
+}
+
+const char *fcl::work::runtimeNames() {
+  static const std::string Names = [] {
+    std::string Joined;
+    for (const RuntimeName &R : runtimeTable())
+      Joined += (Joined.empty() ? "" : "|") + std::string(R.Name);
+    return Joined;
+  }();
+  return Names.c_str();
+}
+
+BuiltRuntime fcl::work::makeRuntime(RuntimeKind K, mcl::Context &Ctx,
+                                    const Workload &W,
+                                    const fluidicl::Options &FclOpts,
+                                    double GpuFraction) {
+  BuiltRuntime Out;
+  switch (K) {
+  case RuntimeKind::CpuOnly:
+  case RuntimeKind::GpuOnly:
+    Out.RT = std::make_unique<runtime::SingleDeviceRuntime>(
+        Ctx, K == RuntimeKind::CpuOnly ? mcl::DeviceKind::Cpu
+                                       : mcl::DeviceKind::Gpu);
+    return Out;
+  case RuntimeKind::StaticPartition:
+    Out.RT = std::make_unique<runtime::StaticPartitionRuntime>(Ctx,
+                                                               GpuFraction);
+    return Out;
+  case RuntimeKind::FluidiCL:
+    Out.RT = std::make_unique<fluidicl::Runtime>(Ctx, FclOpts);
+    return Out;
+  case RuntimeKind::SoclEager:
+  case RuntimeKind::SoclDmda: {
+    socl::Policy P =
+        K == RuntimeKind::SoclEager ? socl::Policy::Eager : socl::Policy::Dmda;
+    Out.SoclModel = std::make_unique<socl::PerfModel>();
+    if (P == socl::Policy::Dmda)
+      for (int I = 0; I < DmdaCalibrationRuns; ++I) {
+        mcl::Context CalCtx(Ctx.machine(), Ctx.execMode());
+        socl::SoclRuntime Cal(CalCtx, P, *Out.SoclModel,
+                              /*Calibrating=*/true,
+                              /*TaskSeed=*/static_cast<uint64_t>(I));
+        runWorkload(Cal, W, false);
+      }
+    Out.RT = std::make_unique<socl::SoclRuntime>(Ctx, P, *Out.SoclModel);
+    return Out;
   }
   }
   FCL_UNREACHABLE("covered switch");
+}
+
+namespace {
+
+/// Builds \p K on a fresh machine configured by \p C and hands it to
+/// \p Use: the one body behind timeUnder, reportUnder and
+/// timeStaticPartition.
+template <typename UseFn>
+auto onFreshMachine(RuntimeKind K, const Workload &W, const RunConfig &C,
+                    double GpuFraction, UseFn &&Use) {
+  mcl::Context Ctx(C.M, C.Mode);
+  BuiltRuntime Built = makeRuntime(K, Ctx, W, C.FclOpts, GpuFraction);
+  return Use(*Built.RT);
+}
+
+Duration timeOnFreshMachine(RuntimeKind K, const Workload &W,
+                            const RunConfig &C, double GpuFraction) {
+  return onFreshMachine(K, W, C, GpuFraction, [&](runtime::HeteroRuntime &RT) {
+    return runWorkload(RT, W, false).Total;
+  });
+}
+
+} // namespace
+
+Duration fcl::work::timeUnder(RuntimeKind K, const Workload &W,
+                              const RunConfig &C) {
+  return timeOnFreshMachine(K, W, C, DefaultGpuFraction);
 }
 
 stats::RunReport
@@ -198,65 +269,21 @@ fcl::work::collectRunReport(const runtime::HeteroRuntime &RT,
   return Rep;
 }
 
-namespace {
-
-stats::RunReport runReported(runtime::HeteroRuntime &RT, const Workload &W,
-                             trace::Tracer *T) {
-  if (T)
-    RT.context().setTracer(T);
-  RunResult Res = runWorkload(RT, W, false);
-  return collectRunReport(RT, W, Res.Total, T);
-}
-
-} // namespace
-
 stats::RunReport fcl::work::reportUnder(RuntimeKind K, const Workload &W,
                                         const RunConfig &C,
                                         trace::Tracer *T) {
-  switch (K) {
-  case RuntimeKind::CpuOnly: {
-    mcl::Context Ctx(C.M, C.Mode);
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Cpu);
-    return runReported(RT, W, T);
-  }
-  case RuntimeKind::GpuOnly: {
-    mcl::Context Ctx(C.M, C.Mode);
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Gpu);
-    return runReported(RT, W, T);
-  }
-  case RuntimeKind::FluidiCL: {
-    mcl::Context Ctx(C.M, C.Mode);
-    fluidicl::Runtime RT(Ctx, C.FclOpts);
-    return runReported(RT, W, T);
-  }
-  case RuntimeKind::SoclEager: {
-    socl::PerfModel Model;
-    mcl::Context Ctx(C.M, C.Mode);
-    socl::SoclRuntime RT(Ctx, socl::Policy::Eager, Model);
-    return runReported(RT, W, T);
-  }
-  case RuntimeKind::SoclDmda: {
-    socl::PerfModel Model;
-    for (int I = 0; I < C.DmdaCalibrationRuns; ++I) {
-      mcl::Context Ctx(C.M, C.Mode);
-      socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model,
-                           /*Calibrating=*/true,
-                           /*TaskSeed=*/static_cast<uint64_t>(I));
-      runWorkload(RT, W, false);
-    }
-    mcl::Context Ctx(C.M, C.Mode);
-    socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model);
-    return runReported(RT, W, T);
-  }
-  }
-  FCL_UNREACHABLE("covered switch");
+  return onFreshMachine(K, W, C, DefaultGpuFraction,
+                        [&](runtime::HeteroRuntime &RT) {
+                          if (T)
+                            RT.context().setTracer(T);
+                          Duration Total = runWorkload(RT, W, false).Total;
+                          return collectRunReport(RT, W, Total, T);
+                        });
 }
 
 Duration fcl::work::timeStaticPartition(const Workload &W, double GpuFraction,
                                         const RunConfig &C) {
-  mcl::Context Ctx(C.M, C.Mode);
-  runtime::StaticPartitionRuntime RT(Ctx, GpuFraction);
-  return runWorkload(RT, W, false).Total;
+  return timeOnFreshMachine(RuntimeKind::StaticPartition, W, C, GpuFraction);
 }
 
 Duration fcl::work::oracleStaticPartition(const Workload &W,

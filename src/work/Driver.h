@@ -10,7 +10,8 @@
 /// paper measures; platform initialization is excluded). Also provides the
 /// comparison helpers every bench harness uses: CPU-only/GPU-only
 /// baselines, static-partition sweeps (OracleSP), FluidiCL with arbitrary
-/// options, and calibrated SOCL runs.
+/// options, and calibrated SOCL runs. makeRuntime is the one place a
+/// runtime is built from a kind or a tool's --runtime name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,13 +19,15 @@
 #define FCL_WORK_DRIVER_H
 
 #include "fluidicl/Options.h"
-#include "runtime/ProfiledSplit.h"
 #include "hw/Machine.h"
 #include "mcl/Context.h"
+#include "runtime/ProfiledSplit.h"
+#include "socl/PerfModel.h"
 #include "stats/Report.h"
 #include "work/Workload.h"
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,31 +55,83 @@ std::vector<std::vector<std::byte>> initHostData(const Workload &W);
 void computeReference(const Workload &W,
                       std::vector<std::vector<std::byte>> &HostBufs);
 
+/// Outcome of comparing read-back results with the host reference.
+struct Validation {
+  /// Every float within 1e-5 absolute plus 1e-5 relative of the reference.
+  bool Valid = true;
+  double MaxAbsError = 0;
+};
+
+/// Computes \p W's host reference in place over \p Host (its initial
+/// data) and compares \p Results, one vector per W.ResultBuffers entry,
+/// against it. Shared by runWorkload and the serving job executors.
+Validation validateResults(const Workload &W,
+                           std::vector<std::vector<std::byte>> &Host,
+                           const std::vector<std::vector<std::byte>> &Results);
+
 /// Runs \p W under \p RT; validates read-back results against the host
 /// reference when \p Validate and the context is functional.
 RunResult runWorkload(runtime::HeteroRuntime &RT, const Workload &W,
                       bool Validate);
 
-/// Which runtime to construct for a timed run.
+/// Which runtime to construct for a run.
 enum class RuntimeKind {
   CpuOnly,
   GpuOnly,
+  StaticPartition,
   FluidiCL,
   SoclEager,
   SoclDmda,
 };
+
+/// One --runtime spelling and the kind it selects.
+struct RuntimeName {
+  const char *Name;
+  RuntimeKind Kind;
+};
+
+/// Every runtime a tool can name, in --runtime=all order: cpu, gpu,
+/// static, socl-eager, socl-dmda, fluidicl.
+const std::vector<RuntimeName> &runtimeTable();
+
+/// Fills \p Out for a runtimeTable() name and returns true; false for
+/// unknown names (the caller reports the error).
+bool runtimeByName(const std::string &Name, RuntimeKind &Out);
+
+/// The names runtimeByName accepts, for usage/error text
+/// ("cpu|gpu|static|...").
+const char *runtimeNames();
+
+/// Static split of RuntimeKind::StaticPartition unless a caller passes its
+/// own (the tools' --gpu-fraction default).
+constexpr double DefaultGpuFraction = 0.5;
+
+/// A runtime made by makeRuntime. Owns the SOCL performance model the
+/// runtime borrows; declared first, so it outlives the runtime.
+struct BuiltRuntime {
+  std::unique_ptr<socl::PerfModel> SoclModel;
+  std::unique_ptr<runtime::HeteroRuntime> RT;
+};
+
+/// Builds runtime \p K on \p Ctx. \p GpuFraction is the StaticPartition
+/// split and \p FclOpts configure FluidiCL; other kinds ignore them.
+/// SOCL-dmda first runs 10 calibration passes of \p W (the paper uses at
+/// least 10), each on a fresh context with \p Ctx's machine and mode, to
+/// populate its performance model.
+BuiltRuntime makeRuntime(RuntimeKind K, mcl::Context &Ctx, const Workload &W,
+                         const fluidicl::Options &FclOpts,
+                         double GpuFraction = DefaultGpuFraction);
 
 /// Configuration for timed comparison runs.
 struct RunConfig {
   hw::Machine M = hw::paperMachine();
   mcl::ExecMode Mode = mcl::ExecMode::TimingOnly;
   fluidicl::Options FclOpts;
-  /// Calibration runs before the measured SOCL-dmda run (the paper uses
-  /// at least 10).
-  int DmdaCalibrationRuns = 10;
 };
 
-/// Total running time of \p W under runtime \p K on a fresh machine.
+/// Total running time of \p W under runtime \p K on a fresh machine
+/// (StaticPartition splits at DefaultGpuFraction; timeStaticPartition
+/// takes the fraction).
 Duration timeUnder(RuntimeKind K, const Workload &W,
                    const RunConfig &C = RunConfig());
 

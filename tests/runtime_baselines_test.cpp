@@ -229,6 +229,28 @@ TEST(ProfiledSplitTest, FunctionalMatchesReference) {
   EXPECT_TRUE(Res.Valid) << Res.MaxAbsError;
 }
 
+TEST(ProfiledSplitTest, ReportCountsEveryLaunch) {
+  // The splitter's own registry must see every launch it splits, as the
+  // static partition's does.
+  Workload W = makeBicg(1024, 1024);
+  runtime::SplitModel M;
+  trainSplitModel(W, hw::paperMachine(), M);
+  mcl::Context Ctx(hw::paperMachine(), mcl::ExecMode::TimingOnly);
+  runtime::ProfiledSplitRuntime RT(Ctx, M);
+  RunResult Res = runWorkload(RT, W, false);
+  stats::RunReport Rep = collectRunReport(RT, W, Res.Total);
+  EXPECT_EQ(Rep.RuntimeName, "ProfiledSplit");
+  EXPECT_EQ(Rep.Counters.counter("kernel_launches"), W.Calls.size());
+  uint64_t Groups = 0;
+  for (const KernelCall &Call : W.Calls)
+    Groups += Call.Range.totalGroups();
+  EXPECT_EQ(Rep.Counters.counter("workgroups_total"), Groups);
+  EXPECT_EQ(Rep.Counters.counter("gpu_workgroups_completed") +
+                Rep.Counters.counter("cpu_workgroups_completed"),
+            Groups);
+  EXPECT_GT(Rep.Counters.counter("host_merge_bytes"), 0u);
+}
+
 TEST(ProfiledSplitTest, BeatsSingleFixedSplitOnBicg) {
   // BICG's two kernels want opposite splits: per-kernel trained fractions
   // must beat any single fixed fraction.
@@ -246,6 +268,42 @@ TEST(ProfiledSplitTest, FluidiclBeatsQilinWithoutTraining) {
     double Fcl = timeUnder(RuntimeKind::FluidiCL, W, C).toSeconds();
     EXPECT_LT(Fcl, Qilin) << W.Name;
   }
+}
+
+// --- Runtime factory -----------------------------------------------------------
+
+TEST(RuntimeFactoryTest, EveryNamedKindBuildsItsRuntime) {
+  const std::pair<const char *, const char *> Want[] = {
+      {"cpu", "CPU"},
+      {"gpu", "GPU"},
+      {"static", "Static50"},
+      {"socl-eager", "SOCL-eager"},
+      {"socl-dmda", "SOCL-dmda"},
+      {"fluidicl", "FluidiCL"}};
+  ASSERT_EQ(runtimeTable().size(), std::size(Want));
+  EXPECT_STREQ(runtimeNames(), "cpu|gpu|static|socl-eager|socl-dmda|fluidicl");
+  Workload W = makeBicg(256, 256);
+  for (size_t I = 0; I < std::size(Want); ++I) {
+    const RuntimeName &R = runtimeTable()[I];
+    EXPECT_STREQ(R.Name, Want[I].first);
+    RuntimeKind K = RuntimeKind::CpuOnly;
+    ASSERT_TRUE(runtimeByName(R.Name, K));
+    EXPECT_EQ(K, R.Kind);
+    mcl::Context Ctx(hw::paperMachine(), mcl::ExecMode::TimingOnly);
+    BuiltRuntime Built = makeRuntime(K, Ctx, W, fluidicl::Options());
+    EXPECT_EQ(Built.RT->name(), Want[I].second);
+  }
+  RuntimeKind K = RuntimeKind::CpuOnly;
+  EXPECT_FALSE(runtimeByName("bogus", K));
+  EXPECT_FALSE(runtimeByName("all", K));
+}
+
+TEST(RuntimeFactoryTest, StaticKindSplitsAtTheDefaultFraction) {
+  Workload W = makeSyrk(256, 256);
+  EXPECT_EQ(timeUnder(RuntimeKind::StaticPartition, W).nanos(),
+            timeStaticPartition(W, DefaultGpuFraction).nanos());
+  EXPECT_NE(timeStaticPartition(W, 0.6).nanos(),
+            timeStaticPartition(W, DefaultGpuFraction).nanos());
 }
 
 TEST(StaticPartitionDeathTest, RejectsFractionOutOfRange) {

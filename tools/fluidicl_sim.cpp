@@ -20,9 +20,6 @@
 #include "fluidicl/Runtime.h"
 #include "prof/Profiler.h"
 #include "race/Bridge.h"
-#include "runtime/SingleDevice.h"
-#include "runtime/StaticPartition.h"
-#include "socl/SoclRuntime.h"
 #include "support/ArgParser.h"
 #include "support/Csv.h"
 #include "support/Format.h"
@@ -82,14 +79,12 @@ struct ToolConfig {
   }
 };
 
-/// Runs one workload under one named runtime; returns the result (or a
-/// zero-duration result if the runtime name is unknown). When stats are
-/// requested the run's report is appended to \p Reports. Sets
+/// Runs one workload under one runtime and returns the result. When stats
+/// are requested the run's report is appended to \p Reports. Sets
 /// \p WriteFailed when the --trace file cannot be written.
-RunResult runOne(const std::string &Runtime, const Workload &W,
-                 const ToolConfig &Cfg, bool Validate,
-                 std::vector<stats::RunReport> &Reports, bool &CheckFailed,
-                 bool &WriteFailed) {
+RunResult runOne(RuntimeKind K, const Workload &W, const ToolConfig &Cfg,
+                 bool Validate, std::vector<stats::RunReport> &Reports,
+                 bool &CheckFailed, bool &WriteFailed) {
   mcl::Context Ctx(Cfg.M, Cfg.Mode);
   trace::Tracer Tracer;
   // Stats need the tracer too: per-device utilization is derived from the
@@ -99,61 +94,31 @@ RunResult runOne(const std::string &Runtime, const Workload &W,
     Ctx.setTracer(&Tracer);
 
   RunResult Res;
-  auto Collect = [&](const runtime::HeteroRuntime &RT) {
+  {
+    BuiltRuntime Built = makeRuntime(K, Ctx, W, Cfg.FclOpts, Cfg.GpuFraction);
+    runtime::HeteroRuntime &RT = *Built.RT;
+    Res = runWorkload(RT, W, Validate);
+    if (K == RuntimeKind::FluidiCL) {
+      auto &Fcl = static_cast<fluidicl::Runtime &>(RT);
+      const check::DiagSink &Diags = Fcl.diagSink();
+      if (Diags.enabled() && !Diags.diags().empty())
+        std::printf("%s", Diags.renderAll().c_str());
+      if (Diags.shouldFail())
+        CheckFailed = true;
+      for (const fluidicl::KernelStats &S : Fcl.kernelStats())
+        std::printf("    %-22s cpu %6llu / gpu %6llu of %6llu groups, "
+                    "%llu subkernels, chunk -> %.0f%%%s\n",
+                    S.KernelName.c_str(),
+                    static_cast<unsigned long long>(S.CpuGroupsExecuted),
+                    static_cast<unsigned long long>(S.GpuGroupsExecuted),
+                    static_cast<unsigned long long>(S.TotalGroups),
+                    static_cast<unsigned long long>(S.CpuSubkernels),
+                    S.FinalChunkPct,
+                    S.CpuRanEverything ? " (CPU ran everything)" : "");
+    }
     if (Cfg.statsWanted())
       Reports.push_back(collectRunReport(RT, W, Res.Total,
                                          UseTracer ? &Tracer : nullptr));
-  };
-  if (Runtime == "cpu") {
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Cpu);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "gpu") {
-    runtime::SingleDeviceRuntime RT(Ctx, mcl::DeviceKind::Gpu);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "static") {
-    runtime::StaticPartitionRuntime RT(Ctx, Cfg.GpuFraction);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "socl-eager") {
-    socl::PerfModel Model;
-    socl::SoclRuntime RT(Ctx, socl::Policy::Eager, Model);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "socl-dmda") {
-    socl::PerfModel Model;
-    for (int I = 0; I < 10; ++I) {
-      mcl::Context CalCtx(Cfg.M, Cfg.Mode);
-      socl::SoclRuntime Cal(CalCtx, socl::Policy::Dmda, Model, true,
-                            static_cast<uint64_t>(I));
-      runWorkload(Cal, W, false);
-    }
-    socl::SoclRuntime RT(Ctx, socl::Policy::Dmda, Model);
-    Res = runWorkload(RT, W, Validate);
-    Collect(RT);
-  } else if (Runtime == "fluidicl") {
-    fluidicl::Runtime RT(Ctx, Cfg.FclOpts);
-    Res = runWorkload(RT, W, Validate);
-    const check::DiagSink &Diags = RT.diagSink();
-    if (Diags.enabled() && !Diags.diags().empty())
-      std::printf("%s", Diags.renderAll().c_str());
-    if (Diags.shouldFail())
-      CheckFailed = true;
-    for (const fluidicl::KernelStats &S : RT.kernelStats())
-      std::printf("    %-22s cpu %6llu / gpu %6llu of %6llu groups, "
-                  "%llu subkernels, chunk -> %.0f%%%s\n",
-                  S.KernelName.c_str(),
-                  static_cast<unsigned long long>(S.CpuGroupsExecuted),
-                  static_cast<unsigned long long>(S.GpuGroupsExecuted),
-                  static_cast<unsigned long long>(S.TotalGroups),
-                  static_cast<unsigned long long>(S.CpuSubkernels),
-                  S.FinalChunkPct,
-                  S.CpuRanEverything ? " (CPU ran everything)" : "");
-    Collect(RT);
-  } else {
-    std::fprintf(stderr, "unknown runtime '%s'\n", Runtime.c_str());
-    return Res;
   }
 
   if (Cfg.PrintStats && !Reports.empty())
@@ -187,8 +152,7 @@ int main(int Argc, char **Argv) {
                  "paper");
   Args.addOption("size", "problem size override (0 = workload default)",
                  "0");
-  Args.addOption("runtime", "cpu|gpu|static|socl-eager|socl-dmda|fluidicl|all",
-                 "all");
+  Args.addOption("runtime", std::string(runtimeNames()) + "|all", "all");
   Args.addOption("gpu-fraction", "GPU share for --runtime=static", "0.5");
   Args.addOption("chunk", "FluidiCL initial chunk percent", "2");
   Args.addOption("step", "FluidiCL chunk step percent", "2");
@@ -239,6 +203,16 @@ int main(int Argc, char **Argv) {
                  Args.str("machine").c_str(), hw::machineNames());
     return 1;
   }
+  std::vector<RuntimeName> Runtimes = runtimeTable();
+  if (const std::string &Name = Args.str("runtime"); Name != "all") {
+    RuntimeKind K;
+    if (!runtimeByName(Name, K)) {
+      std::fprintf(stderr, "error: unknown --runtime '%s' (expected %s|all)\n",
+                   Name.c_str(), runtimeNames());
+      return 1;
+    }
+    std::erase_if(Runtimes, [K](const RuntimeName &R) { return R.Kind != K; });
+  }
   Cfg.M.CpuLoadFactor = Args.f64("cpu-load");
   Cfg.M.GpuLoadFactor = Args.f64("gpu-load");
   Cfg.Mode = Args.flag("functional") ? mcl::ExecMode::Functional
@@ -283,13 +257,6 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  std::vector<std::string> Runtimes;
-  if (Args.str("runtime") == "all")
-    Runtimes = {"cpu", "gpu", "static", "socl-eager", "socl-dmda",
-                "fluidicl"};
-  else
-    Runtimes = {Args.str("runtime")};
-
   bool Validate = Args.flag("functional");
   bool AnyInvalid = false;
   bool CheckFailed = false;
@@ -319,16 +286,16 @@ int main(int Argc, char **Argv) {
   for (const Workload &W : Loads) {
     std::printf("== %s - %s\n", W.Name.c_str(), W.Summary.c_str());
     Table T({"runtime", "total (s)", Validate ? "validated" : ""});
-    for (const std::string &R : Runtimes) {
+    for (const RuntimeName &R : Runtimes) {
       RunResult Res =
-          runOne(R, W, Cfg, Validate, Reports, CheckFailed, WriteFailed);
+          runOne(R.Kind, W, Cfg, Validate, Reports, CheckFailed, WriteFailed);
       std::string Check;
       if (Res.Validated) {
         Check = Res.Valid ? "ok" : "FAILED";
         if (!Res.Valid)
           AnyInvalid = true;
       }
-      T.addRow({R, formatString("%.6f", Res.Total.toSeconds()), Check});
+      T.addRow({R.Name, formatString("%.6f", Res.Total.toSeconds()), Check});
     }
     T.print();
     std::printf("\n");

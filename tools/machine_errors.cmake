@@ -1,7 +1,8 @@
-# Error-path gate for --machine: every simulator-backed tool must reject
-# an unknown machine name with a single-line stderr diagnostic naming the
-# bad value and the accepted set, and a non-zero (usage) exit - not a
-# crash, not a silent fallback to the paper machine. Invoked by ctest as
+# Error-path gate for --machine (and fluidicl_sim's --runtime): every
+# simulator-backed tool must reject an unknown machine name with a
+# single-line stderr diagnostic naming the bad value and the accepted set,
+# and a non-zero (usage) exit - not a crash, not a silent fallback to the
+# paper machine. Invoked by ctest as
 #
 #   cmake -DSIM=<fluidicl_sim> -DCHECK=<fluidicl_check>
 #         -DSERVE=<fluidicl_serve> -DCLUSTER=<fluidicl_cluster>
@@ -13,31 +14,40 @@ foreach(V SIM CHECK SERVE CLUSTER)
   endif()
 endforeach()
 
-function(expect_machine_error TOOL)
+function(expect_unknown_value TOOL OPTION VALUE)
   execute_process(
-    COMMAND "${TOOL}" ${ARGN} --machine=nosuch
+    COMMAND "${TOOL}" ${ARGN} --${OPTION}=${VALUE}
     RESULT_VARIABLE RC
     OUTPUT_QUIET
     ERROR_VARIABLE ERR)
   get_filename_component(NAME "${TOOL}" NAME)
   if(RC EQUAL 0)
-    message(FATAL_ERROR "${NAME} accepted --machine=nosuch (exit 0)")
+    message(FATAL_ERROR "${NAME} accepted --${OPTION}=${VALUE} (exit 0)")
   endif()
-  if(NOT ERR MATCHES "unknown --machine 'nosuch'")
+  if(NOT ERR MATCHES "unknown --${OPTION} '${VALUE}'")
     message(FATAL_ERROR
-            "${NAME} --machine=nosuch stderr lacks the diagnostic: ${ERR}")
+            "${NAME} --${OPTION}=${VALUE} stderr lacks the diagnostic: ${ERR}")
   endif()
   # One line only: a trailing newline is fine, embedded ones are not.
   string(REGEX REPLACE "\n$" "" ERR_BODY "${ERR}")
   if(ERR_BODY MATCHES "\n")
     message(FATAL_ERROR
-            "${NAME} --machine=nosuch printed more than one line: ${ERR}")
+            "${NAME} --${OPTION}=${VALUE} printed more than one line: ${ERR}")
   endif()
+endfunction()
+
+function(expect_machine_error TOOL)
+  expect_unknown_value("${TOOL}" machine nosuch ${ARGN})
 endfunction()
 
 expect_machine_error("${SIM}" --workload=syrk --size=64)
 expect_machine_error("${CHECK}")
 expect_machine_error("${SERVE}" --streams=2 --duration=0.01)
 expect_machine_error("${CLUSTER}" --workers=2 --streams=2 --duration=0.01)
+# fluidicl_sim resolves --runtime through the same kind of name table and
+# must reject an unknown name before running anything.
+expect_unknown_value("${SIM}" runtime bogus --workload=syrk --size=64)
 
-message(STATUS "all four tools reject unknown --machine names cleanly")
+message(STATUS
+  "all four tools reject unknown --machine names (and fluidicl_sim unknown "
+  "--runtime names) cleanly")
