@@ -5,33 +5,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Microbenchmarks for the runtime substrate itself (an extension beyond
-/// the paper's tables): discrete-event throughput, queue command overhead,
-/// flattened-ID math, slice computation, the functional merge kernel, and
-/// a full cooperative kernel execution. Measured through fcl::prof's
-/// wall clock (best-of-N over fixed iteration batches) and emitted as a
-/// BENCH_micro_overheads.json host-performance report, gated like the
-/// fluidicl_bench scenarios by scripts/bench_check.py.
-///
-///   micro_runtime_overheads [--repeat=3] [--out=BENCH_micro_overheads.json]
+/// Microbenchmarks for the runtime substrate itself (experiment E12, an
+/// extension beyond the paper's tables): discrete-event throughput, queue
+/// command overhead, flattened-ID math, slice computation, the functional
+/// merge kernel, and a full cooperative kernel execution. Each is timed
+/// by hand on the host wall clock, best of 3 over fixed iteration
+/// batches, and printed as one table row. The numbers describe this host
+/// only; perfbench/ is the benchmark that compares builds.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "bench/BenchUtil.h"
 #include "fluidicl/Runtime.h"
 #include "kern/NDRange.h"
 #include "kern/Registry.h"
 #include "mcl/CommandQueue.h"
-#include "prof/BenchReport.h"
 #include "prof/Profiler.h"
 #include "sim/Simulator.h"
-#include "support/ArgParser.h"
 #include "work/Driver.h"
 
 #include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <limits>
-#include <string>
 #include <vector>
 
 using namespace fcl;
@@ -44,7 +40,7 @@ template <typename T> inline void doNotOptimize(T const &Value) {
 }
 
 struct Micro {
-  const char *Name;     // metric prefix, e.g. "sim_event_dispatch"
+  const char *Name;     // table row, e.g. "sim_event_dispatch"
   uint64_t ItemsPerRun; // items processed by one Fn() call
   int Runs;             // Fn() calls per repeat (averaged)
   std::function<void()> Fn;
@@ -52,7 +48,6 @@ struct Micro {
 
 void benchSimulatorEventDispatch(std::vector<Micro> &Out) {
   Out.push_back({"sim_event_dispatch", 1024, 64, [] {
-                   FCL_PROF_SCOPE("micro.sim_event_dispatch");
                    sim::Simulator Sim;
                    for (int I = 0; I < 1024; ++I)
                      Sim.scheduleAfter(Duration::nanoseconds(I), [] {});
@@ -64,7 +59,6 @@ void benchFlattenUnflatten(std::vector<Micro> &Out) {
   kern::Dim3 Groups{64, 32, 4};
   uint64_t Total = Groups.product();
   Out.push_back({"flatten_unflatten", Total, 16, [Groups, Total] {
-                   FCL_PROF_SCOPE("micro.flatten_unflatten");
                    uint64_t Sum = 0;
                    for (uint64_t Flat = 0; Flat < Total; ++Flat) {
                      kern::Dim3 Id = kern::unflattenGroupId(Flat, Groups);
@@ -81,7 +75,6 @@ void benchSliceComputation(std::vector<Micro> &Out) {
   for (uint64_t Lo = 0; Lo + 128 < Total; Lo += 997)
     ++Slices;
   Out.push_back({"slice_computation", Slices, 32, [Range, Total] {
-                   FCL_PROF_SCOPE("micro.slice_computation");
                    for (uint64_t Lo = 0; Lo + 128 < Total; Lo += 997)
                      doNotOptimize(kern::computeSlice(Range, Lo, Lo + 128));
                  }});
@@ -89,7 +82,6 @@ void benchSliceComputation(std::vector<Micro> &Out) {
 
 void benchQueueWriteCommands(std::vector<Micro> &Out) {
   Out.push_back({"queue_write_commands", 256, 16, [] {
-                   FCL_PROF_SCOPE("micro.queue_write_commands");
                    mcl::Context Ctx(hw::paperMachine(),
                                     mcl::ExecMode::TimingOnly);
                    auto Queue = Ctx.createQueue(Ctx.gpu());
@@ -109,7 +101,6 @@ void benchFunctionalMergeKernel(std::vector<Micro> &Out) {
   kern::NDRange Range = kern::NDRange::of1D(Items, 64);
   Out.push_back(
       {"functional_merge_kernel", Bytes, 8, [=] {
-         FCL_PROF_SCOPE("micro.functional_merge_kernel");
          const kern::KernelInfo &Merge =
              kern::Registry::builtin().get("md_merge_kernel");
          kern::ArgsView Args(std::vector<kern::ArgValue>{
@@ -129,7 +120,6 @@ void benchFunctionalMergeKernel(std::vector<Micro> &Out) {
 void benchCooperativeKernel(std::vector<Micro> &Out) {
   auto W = std::make_shared<work::Workload>(work::makeSyrk(512, 512));
   Out.push_back({"cooperative_kernel_timing_only", 1, 2, [W] {
-                   FCL_PROF_SCOPE("micro.cooperative_kernel");
                    work::RunConfig C;
                    doNotOptimize(
                        work::timeUnder(work::RuntimeKind::FluidiCL, *W, C));
@@ -138,23 +128,11 @@ void benchCooperativeKernel(std::vector<Micro> &Out) {
 
 } // namespace
 
-int main(int Argc, char **Argv) {
-  ArgParser Args("micro_runtime_overheads",
-                 "runtime-substrate microbenchmarks (BENCH_micro_overheads"
-                 ".json)");
-  Args.addOption("repeat", "best-of-N repeats per benchmark", "3");
-  Args.addOption("out", "output report path",
-                 "BENCH_micro_overheads.json");
-  if (!Args.parse(Argc - 1, Argv + 1)) {
-    std::fprintf(stderr, "error: %s\n%s", Args.error().c_str(),
-                 Args.helpText().c_str());
-    return 1;
-  }
-  if (Args.helpRequested()) {
-    std::printf("%s", Args.helpText().c_str());
-    return 0;
-  }
-  int Repeat = std::max<int>(1, static_cast<int>(Args.i64("repeat")));
+int main() {
+  bench::printHeader("E12", "runtime-substrate microbenchmarks (host wall "
+                            "clock, best of 3)");
+  // Best of this many timed batches per microbenchmark.
+  const int Repeat = 3;
 
   std::vector<Micro> Micros;
   benchSimulatorEventDispatch(Micros);
@@ -163,18 +141,6 @@ int main(int Argc, char **Argv) {
   benchQueueWriteCommands(Micros);
   benchFunctionalMergeKernel(Micros);
   benchCooperativeKernel(Micros);
-
-  prof::BenchReport Rep;
-  Rep.Name = "micro_overheads";
-  Rep.Suite = "micro";
-  Rep.Meta["repeat"] = std::to_string(Repeat);
-
-  // Profile every batch (the per-micro FCL_PROF_SCOPEs feed the report's
-  // profile section); the scope cost is identical across batches, so
-  // best-of-N comparisons between runs stay apples-to-apples.
-  prof::Profiler &Prof = prof::Profiler::instance();
-  Prof.reset();
-  Prof.setEnabled(true);
 
   std::printf("%-32s %8s %14s %14s\n", "benchmark", "runs", "ns/op",
               "items/s");
@@ -189,23 +155,9 @@ int main(int Argc, char **Argv) {
       BestNs = std::min(BestNs, Ns);
     }
     double NsPerOp = BestNs / static_cast<double>(M.ItemsPerRun);
-    double ItemsPerSec =
-        NsPerOp > 0 ? 1e9 / NsPerOp : 0.0;
-    Rep.Metrics[std::string(M.Name) + "_ns_per_op"] = NsPerOp;
-    Rep.Metrics[std::string(M.Name) + "_items_per_sec"] = ItemsPerSec;
+    double ItemsPerSec = NsPerOp > 0 ? 1e9 / NsPerOp : 0.0;
     std::printf("%-32s %8d %14.1f %14.0f\n", M.Name, M.Runs * Repeat,
                 NsPerOp, ItemsPerSec);
   }
-
-  Prof.setEnabled(false);
-  Rep.attachProfile(Prof.snapshot(), /*N=*/16);
-  Rep.PeakRss = prof::peakRssBytes();
-
-  std::string Out = Args.str("out");
-  if (!Rep.write(Out)) {
-    std::fprintf(stderr, "error: cannot write %s\n", Out.c_str());
-    return 1;
-  }
-  std::printf("report written to %s\n", Out.c_str());
   return 0;
 }

@@ -1,4 +1,4 @@
-//===- prof/BenchReport.cpp - Host benchmark reports ----------------------===//
+//===- prof/BenchReport.cpp - Host resource probes ------------------------===//
 //
 // Part of the FluidiCL reproduction. MIT license.
 //
@@ -6,15 +6,9 @@
 
 #include "prof/BenchReport.h"
 
-#include "support/File.h"
-#include "support/JsonWriter.h"
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
-
-using namespace fcl;
-using namespace fcl::prof;
 
 uint64_t fcl::prof::peakRssBytes() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -29,37 +23,4 @@ uint64_t fcl::prof::peakRssBytes() {
 #else
   return 0;
 #endif
-}
-
-void BenchReport::attachProfile(const Snapshot &S, size_t N) {
-  Profile = S.topByExclusive(N);
-  Counters = S.Counters;
-}
-
-std::string BenchReport::toJson() const {
-  JsonWriter W;
-  W.beginObject();
-  W.key("schema").value("fcl-bench-report-v1");
-  W.key("name").value(Name);
-  W.key("suite").value(Suite);
-  W.members("meta", Meta);
-  W.members("metrics", Metrics, "%.9g");
-  W.key("peak_rss_bytes").value(PeakRss);
-  W.key("profile").beginArray();
-  for (const PhaseStats &P : Profile) {
-    W.beginObject(JsonWriter::Layout::Inline);
-    W.key("path").value(P.Path);
-    W.key("count").value(P.Count);
-    W.key("inclusive_ms").value(P.inclusiveMs());
-    W.key("exclusive_ms").value(P.exclusiveMs());
-    W.end();
-  }
-  W.end();
-  W.members("counters", Counters);
-  W.end();
-  return W.str();
-}
-
-bool BenchReport::write(const std::string &Path) const {
-  return writeFile(Path, toJson());
 }

@@ -30,7 +30,9 @@
 /// fast path is one relaxed atomic load. When enabled, a scope costs two
 /// monotonic clock reads plus two relaxed atomic adds on a per-thread
 /// tree node - cheap enough to leave in per-chunk and per-request paths
-/// (the `fluidicl_bench` harness gates measured overhead at < 5%).
+/// (perfbench's traced runs report the measured cost as
+/// `trace.overhead_pct`; prof_test pins that profiling on or off leaves
+/// every report byte-identical).
 ///
 /// Thread safety: each thread owns its phase tree (no cross-thread
 /// contention on the hot path); snapshot() merges all threads' trees by

@@ -9,7 +9,10 @@
 #include "support/Error.h"
 #include "support/Format.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <type_traits>
 
 using namespace fcl;
 
@@ -105,6 +108,44 @@ int64_t ArgParser::i64(const std::string &Name) const {
 double ArgParser::f64(const std::string &Name) const {
   return std::strtod(get(Name).Value.c_str(), nullptr);
 }
+
+template <class T>
+bool ArgParser::number(const std::string &Name, T &Out, T Min, T Max,
+                       bool MinExclusive) const {
+  const std::string &V = str(Name);
+  char *End = nullptr;
+  T X;
+  bool Representable;
+  std::string Need;
+  if constexpr (std::is_integral_v<T>) {
+    errno = 0;
+    X = std::strtoll(V.c_str(), &End, 10);
+    Representable = errno != ERANGE;
+    Need = formatString("an integer in %c%lld, %lld]",
+                        MinExclusive ? '(' : '[', static_cast<long long>(Min),
+                        static_cast<long long>(Max));
+  } else {
+    X = std::strtod(V.c_str(), &End);
+    Representable = std::isfinite(X);
+    Need = Max == std::numeric_limits<T>::max()
+               ? formatString("a number %s %g", MinExclusive ? ">" : ">=", Min)
+               : formatString("a number in %c%g, %g]",
+                              MinExclusive ? '(' : '[', Min, Max);
+  }
+  if (!V.empty() && *End == '\0' && Representable &&
+      (MinExclusive ? X > Min : X >= Min) && X <= Max) {
+    Out = X;
+    return true;
+  }
+  Error = formatString("bad --%s value '%s' (need %s)", Name.c_str(),
+                       V.c_str(), Need.c_str());
+  return false;
+}
+
+template bool ArgParser::number<int64_t>(const std::string &, int64_t &,
+                                         int64_t, int64_t, bool) const;
+template bool ArgParser::number<double>(const std::string &, double &, double,
+                                        double, bool) const;
 
 bool ArgParser::given(const std::string &Name) const {
   return get(Name).Given;

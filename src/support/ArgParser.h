@@ -15,6 +15,7 @@
 #define FCL_SUPPORT_ARGPARSER_H
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -45,6 +46,17 @@ public:
   int64_t i64(const std::string &Name) const;
   double f64(const std::string &Name) const;
 
+  /// Strict numeric accessor (T is int64_t or double): the whole value
+  /// must parse - as a base-10 integer, or as a finite number - and lie
+  /// in [Min, Max], with Min itself excluded when \p MinExclusive. On
+  /// success stores it in \p Out; otherwise leaves \p Out alone, sets
+  /// error() to one line such as "bad --chunk value 'abc' (need a number
+  /// in (0, 100])" and returns false.
+  template <class T>
+  bool number(const std::string &Name, T &Out, T Min,
+              T Max = std::numeric_limits<T>::max(),
+              bool MinExclusive = false) const;
+
   /// True when the option was given explicitly (not defaulted).
   bool given(const std::string &Name) const;
 
@@ -69,7 +81,8 @@ private:
   std::map<std::string, Decl> Decls;
   std::vector<std::string> Order;
   std::vector<std::string> Positional;
-  std::string Error;
+  /// The last parse() or number() failure.
+  mutable std::string Error;
   bool HelpRequested = false;
 };
 

@@ -8,9 +8,10 @@
 /// (BICG 512x512): the exact simulated running time of every RuntimeKind
 /// through timeUnder, of a 60% static partition and of the Qilin-style
 /// profiled splitter, a validated functional run of each baseline, and
-/// each baseline's counter registry. The simulator is deterministic, so
-/// any refactor of the runtime plumbing that changes a command, its order
-/// or its size moves one of these numbers.
+/// each runtime's counter registry (FluidiCL's with its per-launch work).
+/// The simulator is deterministic, so any refactor of the runtime plumbing
+/// that changes a command, its order or its size moves one of these
+/// numbers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +39,22 @@ std::string renderRegistry(const stats::Registry &R) {
     Out += Name + "=" + std::to_string(Value) + ";";
   for (const auto &[Name, Value] : R.gauges())
     Out += Name + "=" + std::to_string(Value) + ";";
+  return Out;
+}
+
+/// FluidiCL's per-launch work: which device completed and executed how
+/// many work-groups, and the hd/dh bytes each launch moved.
+std::string renderLaunches(const stats::RunReport &R) {
+  std::string Out;
+  for (const stats::LaunchStats &L : R.Launches)
+    Out += L.KernelName + ": gpu " + std::to_string(L.GpuGroupsCompleted) +
+           "/" + std::to_string(L.GpuGroupsExecuted) + " cpu " +
+           std::to_string(L.CpuGroupsCompleted) + "/" +
+           std::to_string(L.CpuGroupsExecuted) + " aborted " +
+           std::to_string(L.GpuGroupsAborted) + " hd " +
+           std::to_string(L.HdBytesSent) + "+" +
+           std::to_string(L.StatusBytesSent) + " dh " +
+           std::to_string(L.DhBytesReceived) + ";";
   return Out;
 }
 
@@ -78,6 +95,17 @@ TEST(BaselineGoldenTest, ReportCountersPerKind) {
             "kernel_launches=2;sim_events_executed=13;sim_tombstone_skips=0;"
             "tasks_cpu=1;tasks_gpu=1;workgroups_total=32;"
             "sim_pending_tombstones=0.000000;");
+  stats::RunReport Fcl = reportUnder(RuntimeKind::FluidiCL, W);
+  EXPECT_EQ(renderRegistry(Fcl.Counters),
+            "bufferpool_bytes_created=8192;bufferpool_hits=0;"
+            "bufferpool_misses=4;reads_from_cpu=1;reads_from_cpu_bytes=2048;"
+            "reads_from_gpu=1;reads_from_gpu_bytes=2048;"
+            "sim_events_executed=77;sim_tombstone_skips=0;"
+            "version_receives_applied=2;version_stale_drops=0;"
+            "bufferpool_hit_rate=0.000000;sim_pending_tombstones=0.000000;");
+  EXPECT_EQ(renderLaunches(Fcl),
+            "bicg_kernel1: gpu 0/0 cpu 16/16 aborted 16 hd 4096+16 dh 0;"
+            "bicg_kernel2: gpu 16/16 cpu 0/8 aborted 0 hd 0+0 dh 2048;");
 }
 
 /// One functional baseline run: validated result, running time and the

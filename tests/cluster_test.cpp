@@ -187,6 +187,27 @@ TEST(ClusterTest, ScalesThroughputAcrossWorkers) {
   EXPECT_LE(R4.E2e.P95, R1.E2e.P95);
 }
 
+// A saturating corun load at seed 42 (16 streams, poisson:600, 10 ms) on
+// 1 and on 4 worker pairs: completed jobs and simulated throughput are
+// exact at each worker count.
+TEST(ClusterTest, ScaleOutLoadDoesPinnedWork) {
+  ClusterConfig Cfg = baseConfig(1);
+  Cfg.Worker.P = serve::Policy::FluidicCorun;
+  Cfg.Worker.Mix = serve::MixKind::Mixed;
+  Cfg.Worker.Streams = 16;
+  Cfg.Worker.Seed = 42;
+  Cfg.Worker.Horizon = Duration::milliseconds(10);
+  std::string Err;
+  ASSERT_TRUE(serve::parseArrivalSpec("poisson:600", Cfg.Worker.Arrival, Err));
+  ClusterReport R1 = Cluster(Cfg).run();
+  EXPECT_EQ(R1.Completed, 88u);
+  EXPECT_DOUBLE_EQ(R1.ThroughputJps, 2424.8038030622847);
+  Cfg.Workers = 4;
+  ClusterReport R4 = Cluster(Cfg).run();
+  EXPECT_EQ(R4.Completed, 98u);
+  EXPECT_DOUBLE_EQ(R4.ThroughputJps, 7026.2253862541929);
+}
+
 TEST(ClusterTest, TraceMergesWorkerLanes) {
   trace::Tracer T;
   ClusterConfig Cfg = baseConfig(2);

@@ -6,7 +6,7 @@
 //
 // Covers fcl::prof: nested-scope exclusive-time accounting, counter
 // aggregation, thread safety of concurrent scopes + snapshots (run under
-// TSan in CI), the BenchReport schema, and - the load-bearing invariant -
+// TSan in CI), the peak-RSS probe, and - the load-bearing invariant -
 // that enabling profiling leaves the simulated results byte-identical
 // (both the serve report and the run report).
 //
@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -82,6 +81,8 @@ TEST_F(ProfTest, ScopeRecordsCountAndTime) {
   EXPECT_EQ(P->ExclusiveNs, P->InclusiveNs);
   EXPECT_EQ(P->Depth, 0);
   EXPECT_EQ(P->Name, "test.basic");
+  // The peak-RSS probe beside the profiler reads a live process's usage.
+  EXPECT_GT(peakRssBytes(), 0u);
 }
 
 TEST_F(ProfTest, NestedScopesSplitExclusiveTime) {
@@ -209,90 +210,6 @@ TEST_F(ProfTest, ThreadSafetyUnderConcurrentScopesAndSnapshots) {
   EXPECT_EQ(Inner->Count, static_cast<uint64_t>(Threads) * Iters);
   EXPECT_EQ(S.Counters.at("test.mt_counter"),
             static_cast<uint64_t>(Threads) * Iters);
-}
-
-TEST_F(ProfTest, BenchReportJsonRoundTrip) {
-  Profiler::instance().setEnabled(true);
-  {
-    FCL_PROF_SCOPE("test.bench_phase");
-    spinFor(100'000);
-  }
-  Profiler::instance().setEnabled(false);
-
-  BenchReport Rep;
-  Rep.Name = "unit";
-  Rep.Suite = "test";
-  Rep.Meta["purpose"] = "round trip";
-  Rep.Metrics["events_per_sec"] = 1234.5;
-  Rep.Metrics["overhead_pct"] = 0.5;
-  Rep.attachProfile(Profiler::instance().snapshot(), 4);
-  Rep.PeakRss = peakRssBytes();
-  EXPECT_GT(Rep.PeakRss, 0u);
-  ASSERT_FALSE(Rep.Profile.empty());
-
-  std::string Json = Rep.toJson();
-  EXPECT_NE(Json.find("\"schema\": \"fcl-bench-report-v1\""),
-            std::string::npos);
-  EXPECT_NE(Json.find("\"name\": \"unit\""), std::string::npos);
-  EXPECT_NE(Json.find("\"events_per_sec\""), std::string::npos);
-  EXPECT_NE(Json.find("test.bench_phase"), std::string::npos);
-  EXPECT_NE(Json.find("\"peak_rss_bytes\""), std::string::npos);
-
-  std::string Path =
-      testing::TempDir() + "/BENCH_unit_prof_test.json";
-  ASSERT_TRUE(Rep.write(Path));
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  ASSERT_NE(F, nullptr);
-  std::fclose(F);
-  std::remove(Path.c_str());
-}
-
-// Byte-level gate for "fcl-bench-report-v1": every field is fixed (no
-// wall-clock values), including a key that needs escaping, an empty map
-// and hand-built profile phases.
-TEST_F(ProfTest, BenchReportGoldenBytes) {
-  BenchReport Rep;
-  Rep.Name = "golden";
-  Rep.Suite = "unit";
-  Rep.Metrics["events_per_sec"] = 1234.5;
-  Rep.Metrics["odd \"key\"\t"] = 0.000123456789;
-  PhaseStats Outer;
-  Outer.Path = "sim.run";
-  Outer.Count = 3;
-  Outer.InclusiveNs = 2'500'000;
-  Outer.ExclusiveNs = 1'250'000;
-  PhaseStats Inner;
-  Inner.Path = "sim.run/fcl.merge";
-  Inner.Count = 7;
-  Inner.InclusiveNs = 1'250'000;
-  Inner.ExclusiveNs = 1'250'000;
-  Rep.Profile = {Outer, Inner};
-  Rep.Counters["alloc.bytes"] = 4096;
-  Rep.Counters["alloc.count"] = 12;
-  Rep.PeakRss = 1048576;
-
-  EXPECT_EQ(Rep.toJson(),
-            "{\n"
-            "  \"schema\": \"fcl-bench-report-v1\",\n"
-            "  \"name\": \"golden\",\n"
-            "  \"suite\": \"unit\",\n"
-            "  \"meta\": {},\n"
-            "  \"metrics\": {\n"
-            "    \"events_per_sec\": 1234.5,\n"
-            "    \"odd \\\"key\\\"\\t\": 0.000123456789\n"
-            "  },\n"
-            "  \"peak_rss_bytes\": 1048576,\n"
-            "  \"profile\": [\n"
-            "    {\"path\": \"sim.run\", \"count\": 3, \"inclusive_ms\": "
-            "2.500000, \"exclusive_ms\": 1.250000},\n"
-            "    {\"path\": \"sim.run/fcl.merge\", \"count\": 7, "
-            "\"inclusive_ms\": 1.250000, \"exclusive_ms\": 1.250000}\n"
-            "  ],\n"
-            "  \"counters\": {\n"
-            "    \"alloc.bytes\": 4096,\n"
-            "    \"alloc.count\": 12\n"
-            "  }\n"
-            "}\n");
 }
 
 serve::ServeReport runServeOnce() {

@@ -234,6 +234,36 @@ TEST(ServeEngineTest, CorunBeatsFifoOnP95AndMakespan) {
   EXPECT_GE(Corun.Completed, Fifo.Completed);
 }
 
+// Corun over the mixed and the pipeline mix at seed 42 (6 streams, 10 ms
+// horizon): the work each load does is exact, so a change to admission,
+// dispatch or the DAG executor that alters it fails here, on any host.
+TEST(ServeEngineTest, CorunLoadsDoPinnedWork) {
+  struct Case {
+    MixKind Mix;
+    const char *Arrival;
+    uint64_t Submitted, Completed, DagNodes, DagTransfers;
+    double MakespanMs;
+  };
+  for (const Case &C :
+       {Case{MixKind::Mixed, "poisson:200", 5, 5, 0, 0, 9.920724},
+        Case{MixKind::Pipeline, "poisson:250", 7, 7, 11, 28, 10.088923}}) {
+    EngineConfig Cfg;
+    Cfg.P = Policy::FluidicCorun;
+    Cfg.Mix = C.Mix;
+    Cfg.Streams = 6;
+    Cfg.Seed = 42;
+    Cfg.Horizon = Duration::milliseconds(10);
+    std::string Err;
+    ASSERT_TRUE(parseArrivalSpec(C.Arrival, Cfg.Arrival, Err)) << Err;
+    ServeReport R = runServe(Cfg);
+    EXPECT_EQ(R.Submitted, C.Submitted) << C.Arrival;
+    EXPECT_EQ(R.Completed, C.Completed) << C.Arrival;
+    EXPECT_EQ(R.DagNodes, C.DagNodes) << C.Arrival;
+    EXPECT_EQ(R.DagTransfers, C.DagTransfers) << C.Arrival;
+    EXPECT_DOUBLE_EQ(R.MakespanMs, C.MakespanMs) << C.Arrival;
+  }
+}
+
 TEST(ServeEngineTest, CorunUsesBackfillAndChunkYields) {
   ServeReport R = runServe(baseConfig(Policy::FluidicCorun));
   EXPECT_GT(R.CoopJobs, 0u);

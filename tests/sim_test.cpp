@@ -209,6 +209,31 @@ TEST(SimulatorTest, TombstoneHealthCountersTrackCancellations) {
   EXPECT_EQ(Sim.eventsExecuted(), 4u);
 }
 
+// A cancellation-heavy batch load: 8 batches of 4096 short-delay events,
+// every 4th cancelled before its batch runs. The executed and skipped
+// counts are exact, so a change to how the core pops, cancels or reuses
+// slots shows up as a different number, not only as a different speed.
+TEST(SimulatorTest, CancellationHeavyBatchesCountExactly) {
+  Simulator Sim;
+  std::vector<EventId> Cancellable;
+  uint64_t Tick = 0;
+  for (int B = 0; B < 8; ++B) {
+    Cancellable.clear();
+    for (int I = 0; I < 4096; ++I) {
+      EventId Id =
+          Sim.scheduleAfter(Duration::nanoseconds(++Tick % 97), [] {});
+      if (I % 4 == 0)
+        Cancellable.push_back(Id);
+    }
+    for (EventId Id : Cancellable)
+      EXPECT_TRUE(Sim.cancel(Id));
+    Sim.run();
+  }
+  EXPECT_EQ(Sim.eventsExecuted(), 8u * 3072);
+  EXPECT_EQ(Sim.tombstoneSkips(), 8u * 1024);
+  EXPECT_EQ(Sim.pendingTombstones(), 0u);
+}
+
 TEST(SimulatorTest, RunUntilStopsAtDeadlineBehindTombstone) {
   Simulator Sim;
   bool LateRan = false;

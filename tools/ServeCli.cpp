@@ -10,10 +10,7 @@
 #include "support/File.h"
 #include "support/Format.h"
 
-#include <cerrno>
 #include <climits>
-#include <cmath>
-#include <cstdlib>
 
 using namespace fcl;
 using namespace fcl::servecli;
@@ -73,21 +70,6 @@ bool usageError(const std::string &Msg) {
   return false;
 }
 
-// Strict integer flag: the whole value must parse and lie in [Min, Max].
-bool intFlag(const ArgParser &Args, const char *Name, int64_t Min,
-             int64_t Max, int64_t &Out) {
-  const std::string &V = Args.str(Name);
-  char *End = nullptr;
-  errno = 0;
-  long long X = std::strtoll(V.c_str(), &End, 10);
-  if (V.empty() || *End != '\0' || errno == ERANGE || X < Min || X > Max)
-    return usageError(formatString(
-        "bad --%s value '%s' (need an integer in [%lld, %lld])", Name,
-        V.c_str(), static_cast<long long>(Min), static_cast<long long>(Max)));
-  Out = X;
-  return true;
-}
-
 bool parseConfig(const ArgParser &Args, const Tool &T,
                  serve::EngineConfig &Cfg) {
   Cfg.Streams = static_cast<int>(Args.i64("streams"));
@@ -133,9 +115,9 @@ bool parseConfig(const ArgParser &Args, const Tool &T,
   // The engine FCL_CHECKs a positive depth; a negative threshold would
   // wrap to "every job is small".
   int64_t QueueDepth = 0, Threshold = 0;
-  if (!intFlag(Args, "queue-depth", 1, INT_MAX, QueueDepth) ||
-      !intFlag(Args, "threshold", 0, INT64_MAX, Threshold))
-    return false;
+  if (!Args.number<int64_t>("queue-depth", QueueDepth, 1, INT_MAX) ||
+      !Args.number<int64_t>("threshold", Threshold, 0))
+    return usageError(Args.error());
   Cfg.QueueDepth = static_cast<int>(QueueDepth);
   Cfg.LargeThreshold = static_cast<uint64_t>(Threshold);
   return true;
@@ -158,18 +140,6 @@ std::optional<int> fcl::servecli::parseFlags(ArgParser &Args, int Argc,
   if (!parseConfig(Args, T, Cfg))
     return 1;
   return std::nullopt;
-}
-
-bool fcl::servecli::nonNegativeFlag(const ArgParser &Args, const char *Name,
-                                    double &Out) {
-  const std::string &V = Args.str(Name);
-  char *End = nullptr;
-  double X = std::strtod(V.c_str(), &End);
-  if (V.empty() || *End != '\0' || !std::isfinite(X) || X < 0)
-    return usageError(formatString("bad --%s value '%s' (need a number >= 0)",
-                                   Name, V.c_str()));
-  Out = X;
-  return true;
 }
 
 Outputs::Outputs(const ArgParser &Args, const Tool &T,

@@ -49,10 +49,6 @@ void addFlags(ArgParser &Args, const Tool &T);
 std::optional<int> parseFlags(ArgParser &Args, int Argc, char **Argv,
                               const Tool &T, serve::EngineConfig &Cfg);
 
-/// Strict non-negative number flag: the whole value must parse; otherwise
-/// prints one usage-error line and returns false.
-bool nonNegativeFlag(const ArgParser &Args, const char *Name, double &Out);
-
 /// The output side of one run. Construct it before the run: it wires
 /// --trace into the configuration and starts the --prof profiler.
 class Outputs {

@@ -74,8 +74,10 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   double LinkUs = 0;
-  if (!servecli::nonNegativeFlag(Args, "link-us", LinkUs))
+  if (!Args.number("link-us", LinkUs, 0.0)) {
+    std::fprintf(stderr, "error: %s\n", Args.error().c_str());
     return 1;
+  }
   Cfg.LinkLatency = Duration::seconds(LinkUs * 1e-6);
 
   servecli::Outputs Out(Args, Cluster, Cfg.Worker);

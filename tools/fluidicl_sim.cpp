@@ -28,6 +28,7 @@
 #include "work/Driver.h"
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 using namespace fcl;
@@ -213,13 +214,24 @@ int main(int Argc, char **Argv) {
     }
     std::erase_if(Runtimes, [K](const RuntimeName &R) { return R.Kind != K; });
   }
-  Cfg.M.CpuLoadFactor = Args.f64("cpu-load");
-  Cfg.M.GpuLoadFactor = Args.f64("gpu-load");
+  // --step=0 is the fixed chunk; a zero load factor would make a device's
+  // compute free.
+  const double Unbounded = std::numeric_limits<double>::max();
+  int64_t Size = 0;
+  if (!Args.number<int64_t>("size", Size, 0) ||
+      !Args.number("gpu-fraction", Cfg.GpuFraction, 0.0, 1.0) ||
+      !Args.number("chunk", Cfg.FclOpts.InitialChunkPct, 0.0, 100.0,
+                   /*MinExclusive=*/true) ||
+      !Args.number("step", Cfg.FclOpts.StepPct, 0.0) ||
+      !Args.number("cpu-load", Cfg.M.CpuLoadFactor, 0.0, Unbounded,
+                   /*MinExclusive=*/true) ||
+      !Args.number("gpu-load", Cfg.M.GpuLoadFactor, 0.0, Unbounded,
+                   /*MinExclusive=*/true)) {
+    std::fprintf(stderr, "error: %s\n", Args.error().c_str());
+    return 1;
+  }
   Cfg.Mode = Args.flag("functional") ? mcl::ExecMode::Functional
                                      : mcl::ExecMode::TimingOnly;
-  Cfg.GpuFraction = Args.f64("gpu-fraction");
-  Cfg.FclOpts.InitialChunkPct = Args.f64("chunk");
-  Cfg.FclOpts.StepPct = Args.f64("step");
   if (Args.flag("no-abort-in-loops"))
     Cfg.FclOpts.AbortPolicy = hw::AbortPolicyKind::AtStart;
   Cfg.FclOpts.LoopUnroll = !Args.flag("no-unroll");
@@ -250,7 +262,7 @@ int main(int Argc, char **Argv) {
   race::armAnalyzer(RacesPol);
 
   std::vector<Workload> Loads =
-      selectWorkloads(Args.str("workload"), Args.i64("size"));
+      selectWorkloads(Args.str("workload"), Size);
   if (Loads.empty()) {
     std::fprintf(stderr, "unknown workload '%s'\n%s",
                  Args.str("workload").c_str(), Args.helpText().c_str());
