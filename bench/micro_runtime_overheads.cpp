@@ -109,11 +109,7 @@ void benchFunctionalMergeKernel(std::vector<Micro> &Out) {
              kern::ArgValue::buffer(Orig->data(), Bytes),
              kern::ArgValue::scalarInt(static_cast<int64_t>(Bytes)),
              kern::ArgValue::scalarInt(4)});
-         kern::Dim3 Groups = Range.numGroups();
-         for (uint64_t Flat = 0; Flat < Range.totalGroups(); ++Flat)
-           kern::executeWorkGroup(Merge, Range,
-                                  kern::unflattenGroupId(Flat, Groups), Args,
-                                  0, Range.itemsPerGroup(), nullptr);
+         kern::executeGroups(Merge, Range, Args, 0, Range.totalGroups());
        }});
 }
 

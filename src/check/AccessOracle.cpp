@@ -119,14 +119,6 @@ OracleReport fcl::check::verifyCall(const kern::KernelInfo &Kernel,
     Values[P.ArgIndex] = kern::ArgValue::buffer(P.Work.data(), P.Size);
   const kern::ArgsView View(Values);
 
-  std::vector<std::byte> Scratch(Kernel.LocalBytes);
-  auto Exec = [&](uint64_t Flat) {
-    if (!Scratch.empty())
-      std::memset(Scratch.data(), 0, Scratch.size());
-    kern::executeWorkGroup(Kernel, Range, kern::unflattenGroupId(Flat, Groups),
-                           View, 0, Range.itemsPerGroup(), Scratch.data());
-  };
-
   const uint64_t ErrBefore = Sink.errorCount();
   const uint64_t WarnBefore = Sink.warningCount();
   std::vector<uint8_t> PriorDep(NumArgs, 0);
@@ -135,7 +127,7 @@ OracleReport fcl::check::verifyCall(const kern::KernelInfo &Kernel,
     // Baseline run against pristine contents.
     for (BufProbe &P : Bufs)
       std::memcpy(P.Work.data(), P.Base.data(), P.Size);
-    Exec(G);
+    kern::executeGroups(Kernel, Range, View, G, G + 1);
     for (BufProbe &P : Bufs) {
       std::memcpy(P.Res0.data(), P.Work.data(), P.Size);
       P.CurOffsets.clear();
@@ -154,7 +146,7 @@ OracleReport fcl::check::verifyCall(const kern::KernelInfo &Kernel,
         std::memcpy(P.Work.data(),
                     PI == CI ? P.Perturbed.data() : P.Base.data(), P.Size);
       }
-      Exec(G);
+      kern::executeGroups(Kernel, Range, View, G, G + 1);
       const size_t CandArg = Bufs[CI].ArgIndex;
       for (size_t PI = 0; PI < Bufs.size(); ++PI) {
         BufProbe &P = Bufs[PI];

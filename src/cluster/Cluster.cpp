@@ -226,10 +226,7 @@ void Cluster::workerMain(Worker &W) {
 ClusterReport Cluster::run() {
   race::Analyzer &A = race::Analyzer::instance();
   RacesOn = Cfg.Worker.Races != check::Policy::Off;
-  if (RacesOn) {
-    A.reset();
-    A.setEnabled(true);
-  }
+  race::armAnalyzer(Cfg.Worker.Races);
   drawArrivals();
 
   std::vector<std::thread> Threads;
@@ -274,9 +271,8 @@ ClusterReport Cluster::run() {
   // Collect race findings before engine teardown so the destructors (and
   // the trace merge below) run unanalyzed, mirroring serve::Engine::run.
   if (RacesOn) {
-    A.setEnabled(false);
     check::DiagSink Sink(check::Policy::Warn);
-    race::reportFindings(A.takeFindings(), Sink);
+    race::disarmAnalyzer(Sink);
     RaceFindingsN = Sink.diags().size();
     for (const check::Diag &D : Sink.diags())
       RaceDiagLines.push_back(D.str());

@@ -113,7 +113,7 @@ void Runtime::readBuffer(runtime::BufferId Id, void *Dst, uint64_t Bytes) {
   // version once the app-queue merges drain (in-order queue).
   Stats.add("reads_from_gpu");
   Stats.add("reads_from_gpu_bytes", Bytes);
-  GpuAppQueue->enqueueRead(*B.GpuBuf, Dst, Bytes, 0, /*Blocking=*/true);
+  GpuAppQueue->enqueueRead(*B.GpuBuf, Dst, Bytes)->wait();
 }
 
 void Runtime::launchKernel(const std::string &KernelName,
@@ -166,9 +166,8 @@ void Runtime::readBufferAsync(runtime::BufferId Id, void *Dst, uint64_t Bytes,
   }
   Stats.add("reads_from_gpu");
   Stats.add("reads_from_gpu_bytes", Bytes);
-  mcl::EventPtr Done =
-      GpuAppQueue->enqueueRead(*B.GpuBuf, Dst, Bytes, 0, /*Blocking=*/false);
-  Done->onComplete(std::move(OnDone));
+  GpuAppQueue->enqueueRead(*B.GpuBuf, Dst, Bytes)
+      ->onComplete(std::move(OnDone));
 }
 
 void Runtime::finish() {

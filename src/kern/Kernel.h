@@ -167,14 +167,12 @@ struct KernelInfo {
   }
 };
 
-/// Functionally executes work-items [LocalBegin, LocalEnd) (flattened local
-/// IDs) of work-group \p GroupId, running all barrier phases in order.
-/// \p LocalScratch must hold KernelInfo::LocalBytes bytes (may be null when
-/// LocalBytes == 0). Pass [0, Range.itemsPerGroup()) for a whole group.
-void executeWorkGroup(const KernelInfo &Kernel, const NDRange &Range,
-                      const Dim3 &GroupId, const ArgsView &Args,
-                      uint64_t LocalBegin, uint64_t LocalEnd,
-                      std::byte *LocalScratch);
+/// Functionally executes flat work-groups [Begin, End) of \p Range in
+/// ascending order, each with every barrier phase run in order over all
+/// its work-items and with KernelInfo::LocalBytes of local scratch zeroed
+/// at its start.
+void executeGroups(const KernelInfo &Kernel, const NDRange &Range,
+                   const ArgsView &Args, uint64_t Begin, uint64_t End);
 
 } // namespace kern
 } // namespace fcl

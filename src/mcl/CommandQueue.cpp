@@ -60,25 +60,12 @@ CommandQueue::~CommandQueue() {
 }
 
 EventPtr CommandQueue::enqueue(Command Cmd) {
-  Cmd.Done = std::make_shared<Event>(Ctx);
-  EventPtr Done = Cmd.Done;
-  if (Busy) {
-    Pending.push_back(std::move(Cmd));
-    return Done;
-  }
-  Busy = true;
-  startCommand(std::move(Cmd));
+  EventPtr Done = std::make_shared<Event>(Ctx);
+  Cmd.Done = Done;
+  Pending.push_back(std::move(Cmd));
+  if (Pending.size() == 1)
+    startHead();
   return Done;
-}
-
-void CommandQueue::pump() {
-  if (Pending.empty()) {
-    Busy = false;
-    return;
-  }
-  Command Next = std::move(Pending.front());
-  Pending.pop_front();
-  startCommand(std::move(Next));
 }
 
 void CommandQueue::traceCommand(const Command &Cmd) const {
@@ -124,95 +111,82 @@ void CommandQueue::traceCommand(const Command &Cmd) const {
             "queue=" + DebugName);
 }
 
-void CommandQueue::startCommand(Command &&Cmd) {
+void CommandQueue::startHead() {
   sim::Simulator &Sim = Ctx.simulator();
+  Command &Cmd = Pending.front();
   Cmd.StartedAt = Ctx.now();
   switch (Cmd.Kind) {
-  case CommandKind::Write: {
-    TimePoint End =
-        Dev.scheduleTransfer(TransferDir::HostToDevice, Cmd.Bytes);
-    Ctx.noteTransferStart();
-    // Move the command into the completion event so the captured payload
-    // stays alive until the simulated DMA lands.
-    auto CmdPtr = std::make_shared<Command>(std::move(Cmd));
-    Sim.scheduleAt(End, [this, CmdPtr] {
-      FCL_LOG_DEBUG("queue %s: write %s lands at t=%lld",
-                    DebugName.c_str(), CmdPtr->Dst->debugName().c_str(),
-                    (long long)Ctx.now().nanos());
-      if (CmdPtr->Dst->backed() && !CmdPtr->HostSrcCopy.empty()) {
-        FCL_CHECK(CmdPtr->Offset + CmdPtr->Bytes <= CmdPtr->Dst->size(),
-                  "write overruns buffer");
-        std::memcpy(CmdPtr->Dst->data() + CmdPtr->Offset,
-                    CmdPtr->HostSrcCopy.data(), CmdPtr->Bytes);
-      }
-      Ctx.noteTransferEnd();
-      traceCommand(*CmdPtr);
-      CmdPtr->Done->fire();
-      pump();
-    });
-    return;
-  }
+  case CommandKind::Write:
   case CommandKind::Read: {
-    TimePoint End =
-        Dev.scheduleTransfer(TransferDir::DeviceToHost, Cmd.Bytes);
+    TimePoint End = Dev.scheduleTransfer(Cmd.Kind == CommandKind::Write
+                                             ? TransferDir::HostToDevice
+                                             : TransferDir::DeviceToHost,
+                                         Cmd.Bytes);
     Ctx.noteTransferStart();
-    auto CmdPtr = std::make_shared<Command>(std::move(Cmd));
-    Sim.scheduleAt(End, [this, CmdPtr] {
-      FCL_LOG_DEBUG("queue %s: read %s lands at t=%lld",
-                    DebugName.c_str(), CmdPtr->Src->debugName().c_str(),
-                    (long long)Ctx.now().nanos());
-      if (CmdPtr->Src->backed() && CmdPtr->HostDst) {
-        FCL_CHECK(CmdPtr->Offset + CmdPtr->Bytes <= CmdPtr->Src->size(),
-                  "read overruns buffer");
-        std::memcpy(CmdPtr->HostDst, CmdPtr->Src->data() + CmdPtr->Offset,
-                    CmdPtr->Bytes);
-      }
-      Ctx.noteTransferEnd();
-      traceCommand(*CmdPtr);
-      CmdPtr->Done->fire();
-      pump();
-    });
+    Sim.scheduleAt(End, [this] { completeHead(); });
     return;
   }
-  case CommandKind::Copy: {
-    Duration D = Dev.copyDuration(Cmd.Bytes);
-    auto CmdPtr = std::make_shared<Command>(std::move(Cmd));
-    Sim.scheduleAfter(D, [this, CmdPtr] {
-      if (CmdPtr->Src->backed() && CmdPtr->Dst->backed()) {
-        FCL_CHECK(CmdPtr->Bytes <= CmdPtr->Src->size() &&
-                      CmdPtr->Bytes <= CmdPtr->Dst->size(),
-                  "copy overruns buffer");
-        std::memcpy(CmdPtr->Dst->data(), CmdPtr->Src->data(), CmdPtr->Bytes);
-      }
-      traceCommand(*CmdPtr);
-      CmdPtr->Done->fire();
-      pump();
-    });
+  case CommandKind::Copy:
+    Sim.scheduleAfter(Dev.copyDuration(Cmd.Bytes), [this] { completeHead(); });
     return;
-  }
-  case CommandKind::Launch: {
-    auto CmdPtr = std::make_shared<Command>(std::move(Cmd));
-    Dev.executeLaunch(CmdPtr->Launch, [this, CmdPtr](uint64_t Executed) {
-      traceCommand(*CmdPtr);
-      CmdPtr->Done->fire(Executed);
-      pump();
-    });
+  case CommandKind::Launch:
+    Dev.executeLaunch(Cmd.Launch,
+                      [this](uint64_t Executed) { completeHead(Executed); });
     return;
-  }
-  case CommandKind::Callback: {
+  case CommandKind::Callback:
     // Runs as its own simulator event so completion callbacks observe a
     // consistent queue state.
-    auto CmdPtr = std::make_shared<Command>(std::move(Cmd));
-    Sim.scheduleAfter(Duration::zero(), [this, CmdPtr] {
-      if (CmdPtr->Fn)
-        CmdPtr->Fn();
-      CmdPtr->Done->fire();
-      pump();
-    });
+    Sim.scheduleAfter(Duration::zero(), [this] { completeHead(); });
     return;
   }
-  }
   FCL_UNREACHABLE("covered switch");
+}
+
+void CommandQueue::completeHead(uint64_t Payload) {
+  // Commands enqueued from the landing, Fn or Done's subscribers go behind
+  // this one: the head leaves the queue only once Done has fired.
+  Command &Cmd = Pending.front();
+  switch (Cmd.Kind) {
+  case CommandKind::Write:
+    FCL_LOG_DEBUG("queue %s: write %s lands at t=%lld", DebugName.c_str(),
+                  Cmd.Dst->debugName().c_str(), (long long)Ctx.now().nanos());
+    if (Cmd.Dst->backed() && !Cmd.HostSrcCopy.empty()) {
+      FCL_CHECK(Cmd.Offset + Cmd.Bytes <= Cmd.Dst->size(),
+                "write overruns buffer");
+      std::memcpy(Cmd.Dst->data() + Cmd.Offset, Cmd.HostSrcCopy.data(),
+                  Cmd.Bytes);
+    }
+    Ctx.noteTransferEnd();
+    break;
+  case CommandKind::Read:
+    FCL_LOG_DEBUG("queue %s: read %s lands at t=%lld", DebugName.c_str(),
+                  Cmd.Src->debugName().c_str(), (long long)Ctx.now().nanos());
+    if (Cmd.Src->backed() && Cmd.HostDst) {
+      FCL_CHECK(Cmd.Offset + Cmd.Bytes <= Cmd.Src->size(),
+                "read overruns buffer");
+      std::memcpy(Cmd.HostDst, Cmd.Src->data() + Cmd.Offset, Cmd.Bytes);
+    }
+    Ctx.noteTransferEnd();
+    break;
+  case CommandKind::Copy:
+    if (Cmd.Src->backed() && Cmd.Dst->backed()) {
+      FCL_CHECK(Cmd.Bytes <= Cmd.Src->size() && Cmd.Bytes <= Cmd.Dst->size(),
+                "copy overruns buffer");
+      std::memcpy(Cmd.Dst->data(), Cmd.Src->data(), Cmd.Bytes);
+    }
+    break;
+  case CommandKind::Launch:
+    break;
+  case CommandKind::Callback:
+    if (Cmd.Fn)
+      Cmd.Fn();
+    break;
+  }
+  traceCommand(Cmd);
+  Cmd.Done->fire(Payload);
+  Pending.pop_front();
+  if (!Pending.empty())
+    startHead();
 }
 
 EventPtr CommandQueue::enqueueWrite(Buffer &Dst, const void *Src,
@@ -232,7 +206,7 @@ EventPtr CommandQueue::enqueueWrite(Buffer &Dst, const void *Src,
 }
 
 EventPtr CommandQueue::enqueueRead(Buffer &Src, void *Dst, uint64_t Bytes,
-                                   uint64_t Offset, bool Blocking) {
+                                   uint64_t Offset) {
   FCL_CHECK(&Src.device() == &Dev, "buffer belongs to another device");
   FCL_CHECK(Offset + Bytes <= Src.size(), "read overruns buffer");
   Command Cmd;
@@ -241,10 +215,7 @@ EventPtr CommandQueue::enqueueRead(Buffer &Src, void *Dst, uint64_t Bytes,
   Cmd.HostDst = Dst;
   Cmd.Bytes = Bytes;
   Cmd.Offset = Offset;
-  EventPtr Done = enqueue(std::move(Cmd));
-  if (Blocking)
-    Done->wait();
-  return Done;
+  return enqueue(std::move(Cmd));
 }
 
 EventPtr CommandQueue::enqueueCopy(Buffer &Src, Buffer &Dst, uint64_t Bytes) {

@@ -50,10 +50,10 @@ public:
                         uint64_t Offset = 0);
 
   /// Reads \p Bytes from \p Src at \p Offset into host memory \p Dst at the
-  /// simulated completion time. If \p Blocking, runs the simulator until
-  /// the read completes before returning.
+  /// simulated completion time. Call wait() on the returned event to block
+  /// until the read lands.
   EventPtr enqueueRead(Buffer &Src, void *Dst, uint64_t Bytes,
-                       uint64_t Offset = 0, bool Blocking = false);
+                       uint64_t Offset = 0);
 
   /// On-device copy (used for FluidiCL's "original data" snapshots).
   EventPtr enqueueCopy(Buffer &Src, Buffer &Dst, uint64_t Bytes);
@@ -69,20 +69,23 @@ public:
   void finish();
 
   /// True when no command is executing or pending.
-  bool idle() const { return !Busy && Pending.empty(); }
+  bool idle() const { return Pending.empty(); }
 
 private:
   struct Command;
 
-  void pump();
   void traceCommand(const Command &Cmd) const;
-  void startCommand(Command &&Cmd);
+  /// Starts Pending.front(), the one running command.
+  void startHead();
+  /// Lands the running command, fires its event, pops it and starts the
+  /// next one.
+  void completeHead(uint64_t Payload = 0);
   EventPtr enqueue(Command Cmd);
 
   Context &Ctx;
   Device &Dev;
   std::string DebugName;
-  bool Busy = false;
+  /// The running command first, then the ones waiting behind it.
   std::deque<Command> Pending;
 };
 

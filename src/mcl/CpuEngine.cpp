@@ -10,9 +10,6 @@
 #include "mcl/Context.h"
 #include "support/Error.h"
 
-#include <algorithm>
-#include <vector>
-
 using namespace fcl;
 using namespace fcl::mcl;
 
@@ -22,19 +19,13 @@ int CpuEngine::computeUnits() const {
   return Ctx.machine().Cpu.ComputeUnits;
 }
 
-TimePoint CpuEngine::scheduleTransfer(TransferDir Dir, uint64_t Bytes) {
+Duration CpuEngine::transferTime(uint64_t Bytes) const {
   // The host-CPU device shares physical memory with the host (the OpenCL
   // runtime still copies, at memcpy speed); a Xeon-Phi-class coprocessor
   // configured as the second device sits behind its own PCIe link
   // instead. Directions contend like two streams either way.
-  int Idx = Dir == TransferDir::HostToDevice ? 0 : 1;
-  TimePoint Start = std::max(ChannelFree[Idx], Ctx.now());
-  Duration Cost = Ctx.machine().Cpu.BehindPcie
-                      ? Ctx.machine().Pcie.transferTime(Bytes)
-                      : Ctx.machine().Host.memcpyTime(Bytes);
-  TimePoint End = Start + Cost;
-  ChannelFree[Idx] = End;
-  return End;
+  return Ctx.machine().Cpu.BehindPcie ? Ctx.machine().Pcie.transferTime(Bytes)
+                                      : Ctx.machine().Host.memcpyTime(Bytes);
 }
 
 Duration CpuEngine::copyDuration(uint64_t Bytes) const {
@@ -50,15 +41,7 @@ Duration CpuEngine::launchDuration(const LaunchDesc &Desc) const {
   if (Groups == 0)
     return M.Cpu.KernelLaunchOverhead;
 
-  kern::CostQuery Query;
-  Query.Range = Desc.Range;
-  for (const LaunchArg &A : Desc.Args) {
-    kern::ArgValue V;
-    V.IntValue = A.IntValue;
-    V.FpValue = A.FpValue;
-    Query.Scalars.push_back(V);
-  }
-  hw::WorkItemCost Cost = Desc.Kernel->Cost(Query);
+  hw::WorkItemCost Cost = launchCost(Desc);
   uint64_t Items = Desc.Range.itemsPerGroup();
   int Units = M.Cpu.ComputeUnits;
 
@@ -92,21 +75,9 @@ void CpuEngine::executeLaunch(const LaunchDesc &Desc,
                                     Complete = std::move(Complete), Begin,
                                     End, Groups] {
     bool Skip = DescCopy.SkipFunctional && DescCopy.SkipFunctional();
-    if (Ctx.functional() && Groups > 0 && !Skip) {
-      kern::ArgsView Args = resolveArgs(*this, DescCopy);
-      const kern::KernelInfo &Kernel = *DescCopy.Kernel;
-      std::vector<std::byte> Scratch(Kernel.LocalBytes);
-      kern::Dim3 NumGroups = DescCopy.Range.numGroups();
-      uint64_t ItemsPerGroup = DescCopy.Range.itemsPerGroup();
-      for (uint64_t Flat = Begin; Flat < End; ++Flat) {
-        if (!Scratch.empty())
-          std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-        kern::executeWorkGroup(Kernel, DescCopy.Range,
-                               kern::unflattenGroupId(Flat, NumGroups), Args,
-                               0, ItemsPerGroup,
-                               Scratch.empty() ? nullptr : Scratch.data());
-      }
-    }
+    if (Ctx.functional() && Groups > 0 && !Skip)
+      kern::executeGroups(*DescCopy.Kernel, DescCopy.Range,
+                          resolveArgs(*this, DescCopy), Begin, End);
     Complete(Groups);
   });
 }

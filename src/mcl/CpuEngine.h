@@ -28,7 +28,7 @@ public:
   explicit CpuEngine(Context &Ctx);
 
   int computeUnits() const override;
-  TimePoint scheduleTransfer(TransferDir Dir, uint64_t Bytes) override;
+  Duration transferTime(uint64_t Bytes) const override;
   Duration copyDuration(uint64_t Bytes) const override;
   void executeLaunch(const LaunchDesc &Desc,
                      std::function<void(uint64_t)> Complete) override;
@@ -36,9 +36,6 @@ public:
   /// Computed duration of a launch (exposed for tests and for the SOCL
   /// dmda performance model's ground truth).
   Duration launchDuration(const LaunchDesc &Desc) const;
-
-private:
-  TimePoint ChannelFree[2];
 };
 
 } // namespace mcl

@@ -7,7 +7,10 @@
 #include "mcl/Device.h"
 
 #include "mcl/Buffer.h"
+#include "mcl/Context.h"
 #include "support/Error.h"
+
+#include <algorithm>
 
 using namespace fcl;
 using namespace fcl::mcl;
@@ -16,6 +19,12 @@ Device::Device(Context &Ctx, DeviceKind Kind, std::string Name)
     : Ctx(Ctx), Kind(Kind), DeviceName(std::move(Name)) {}
 
 Device::~Device() = default;
+
+TimePoint Device::scheduleTransfer(TransferDir Dir, uint64_t Bytes) {
+  TimePoint &Free = ChannelFree[Dir == TransferDir::HostToDevice ? 0 : 1];
+  Free = std::max(Free, Ctx.now()) + transferTime(Bytes);
+  return Free;
+}
 
 kern::ArgsView fcl::mcl::resolveArgs(const Device &Dev,
                                      const LaunchDesc &Desc) {
@@ -39,4 +48,16 @@ kern::ArgsView fcl::mcl::resolveArgs(const Device &Dev,
     Values.push_back(kern::ArgValue::buffer(A.Buf->data(), A.Buf->size()));
   }
   return kern::ArgsView(std::move(Values));
+}
+
+hw::WorkItemCost fcl::mcl::launchCost(const LaunchDesc &Desc) {
+  kern::CostQuery Query;
+  Query.Range = Desc.Range;
+  for (const LaunchArg &A : Desc.Args) {
+    kern::ArgValue V;
+    V.IntValue = A.IntValue;
+    V.FpValue = A.FpValue;
+    Query.Scalars.push_back(V);
+  }
+  return Desc.Kernel->Cost(Query);
 }

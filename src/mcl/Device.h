@@ -55,7 +55,10 @@ public:
   /// now, returning the simulated completion time. Transfers in the same
   /// direction serialize on the channel; opposite directions are
   /// independent (full duplex).
-  virtual TimePoint scheduleTransfer(TransferDir Dir, uint64_t Bytes) = 0;
+  TimePoint scheduleTransfer(TransferDir Dir, uint64_t Bytes);
+
+  /// Channel time of one host<->device transfer of \p Bytes.
+  virtual Duration transferTime(uint64_t Bytes) const = 0;
 
   /// Duration of an on-device buffer-to-buffer copy of \p Bytes.
   virtual Duration copyDuration(uint64_t Bytes) const = 0;
@@ -75,11 +78,17 @@ protected:
 private:
   DeviceKind Kind;
   std::string DeviceName;
+  /// When each direction's channel (host-to-device, device-to-host) frees.
+  TimePoint ChannelFree[2];
 };
 
 /// Resolves launch arguments into the kernel-facing ArgsView (buffer data
 /// pointers + scalars) and verifies buffers belong to \p Dev.
 kern::ArgsView resolveArgs(const Device &Dev, const LaunchDesc &Desc);
+
+/// The kernel's per-work-item cost for \p Desc (its cost descriptor over
+/// the launch's range and arguments).
+hw::WorkItemCost launchCost(const LaunchDesc &Desc);
 
 } // namespace mcl
 } // namespace fcl

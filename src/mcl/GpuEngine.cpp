@@ -24,12 +24,8 @@ GpuEngine::GpuEngine(Context &Ctx) : Device(Ctx, DeviceKind::Gpu, "SimGPU") {}
 
 int GpuEngine::computeUnits() const { return Ctx.machine().Gpu.NumSms; }
 
-TimePoint GpuEngine::scheduleTransfer(TransferDir Dir, uint64_t Bytes) {
-  int Idx = Dir == TransferDir::HostToDevice ? 0 : 1;
-  TimePoint Start = std::max(ChannelFree[Idx], Ctx.now());
-  TimePoint End = Start + Ctx.machine().Pcie.transferTime(Bytes);
-  ChannelFree[Idx] = End;
-  return End;
+Duration GpuEngine::transferTime(uint64_t Bytes) const {
+  return Ctx.machine().Pcie.transferTime(Bytes);
 }
 
 Duration GpuEngine::copyDuration(uint64_t Bytes) const {
@@ -38,18 +34,6 @@ Duration GpuEngine::copyDuration(uint64_t Bytes) const {
                    Ctx.machine().Gpu.MemBandwidth *
                    Ctx.machine().GpuLoadFactor;
   return Duration::microseconds(4) + Duration::seconds(Seconds);
-}
-
-static hw::WorkItemCost launchCost(const LaunchDesc &Desc) {
-  kern::CostQuery Query;
-  Query.Range = Desc.Range;
-  for (const LaunchArg &A : Desc.Args) {
-    kern::ArgValue V;
-    V.IntValue = A.IntValue;
-    V.FpValue = A.FpValue;
-    Query.Scalars.push_back(V);
-  }
-  return Desc.Kernel->Cost(Query);
 }
 
 Duration GpuEngine::launchDuration(const LaunchDesc &Desc) const {
@@ -196,18 +180,8 @@ struct GpuEngine::Run final : sim::Event {
                     (unsigned long long)WaveBegin,
                     (unsigned long long)(WaveBegin + Live),
                     (long long)Eng->Ctx.now().nanos());
-      kern::ArgsView Args = resolveArgs(*Eng, Desc);
-      const kern::KernelInfo &Kernel = *Desc.Kernel;
-      std::vector<std::byte> Scratch(Kernel.LocalBytes);
-      kern::Dim3 NumGroups = Desc.Range.numGroups();
-      for (uint64_t Flat = WaveBegin; Flat < WaveBegin + Live; ++Flat) {
-        if (!Scratch.empty())
-          std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-        kern::executeWorkGroup(Kernel, Desc.Range,
-                               kern::unflattenGroupId(Flat, NumGroups), Args,
-                               0, ItemsPerWg,
-                               Scratch.empty() ? nullptr : Scratch.data());
-      }
+      kern::executeGroups(*Desc.Kernel, Desc.Range, resolveArgs(*Eng, Desc),
+                          WaveBegin, WaveBegin + Live);
     }
     Executed += Live;
     beginWave();

@@ -32,7 +32,7 @@ public:
   ~GpuEngine() override;
 
   int computeUnits() const override;
-  TimePoint scheduleTransfer(TransferDir Dir, uint64_t Bytes) override;
+  Duration transferTime(uint64_t Bytes) const override;
   Duration copyDuration(uint64_t Bytes) const override;
   void executeLaunch(const LaunchDesc &Desc,
                      std::function<void(uint64_t)> Complete) override;
@@ -47,7 +47,6 @@ private:
   /// Destroys a finished Run.
   void retire(Run &R);
 
-  TimePoint ChannelFree[2];
   /// In-flight launches. Owning them here (not through their pending
   /// events) frees them even when the simulation stops mid-launch.
   std::vector<std::unique_ptr<Run>> Runs;

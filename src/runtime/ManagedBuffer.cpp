@@ -76,8 +76,8 @@ void ManagedBuffer::ensureHost(mcl::CommandQueue &Queue) {
     return;
   const DeviceSlot *S = findSlot(Queue.device());
   FCL_CHECK(S && S->Valid, "no valid device copy to read back from");
-  Queue.enqueueRead(*S->Buf, Shadow.empty() ? nullptr : Shadow.data(), Size,
-                    0, /*Blocking=*/true);
+  Queue.enqueueRead(*S->Buf, Shadow.empty() ? nullptr : Shadow.data(), Size)
+      ->wait();
   HostIsValid = true;
 }
 

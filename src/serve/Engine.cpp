@@ -402,11 +402,7 @@ bool Engine::quiescent() const {
 TimePoint Engine::now() const { return Ctx->now(); }
 
 ServeReport Engine::run() {
-  if (Cfg.Races != check::Policy::Off) {
-    race::Analyzer &A = race::Analyzer::instance();
-    A.reset();
-    A.setEnabled(true);
-  }
+  race::armAnalyzer(Cfg.Races);
   // All arrivals are a pure function of (seed, stream). Equal timestamps
   // fire in injection order, so the whole run is deterministic.
   std::vector<StreamGen> Gens;
@@ -464,10 +460,8 @@ void Engine::collectAnalysis() {
     }
   }
   if (Cfg.Races != check::Policy::Off) {
-    race::Analyzer &A = race::Analyzer::instance();
-    A.setEnabled(false);
     check::DiagSink Sink(check::Policy::Warn);
-    race::reportFindings(A.takeFindings(), Sink);
+    race::disarmAnalyzer(Sink);
     RaceFindingsN = Sink.diags().size();
     for (const check::Diag &D : Sink.diags())
       RaceDiagLines.push_back(D.str());

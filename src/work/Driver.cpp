@@ -42,36 +42,30 @@ std::vector<std::vector<std::byte>> fcl::work::initHostData(const Workload &W) {
   return Bufs;
 }
 
+void fcl::work::executeOnHost(const kern::KernelInfo &Kernel,
+                              const KernelCall &Call,
+                              std::vector<std::vector<std::byte>> &HostBufs) {
+  std::vector<kern::ArgValue> Values;
+  for (const runtime::KArg &A : Call.Args) {
+    if (A.IsBuffer) {
+      std::vector<std::byte> &B = HostBufs[A.Buf];
+      Values.push_back(kern::ArgValue::buffer(B.data(), B.size()));
+    } else {
+      kern::ArgValue V;
+      V.IntValue = A.IntValue;
+      V.FpValue = A.FpValue;
+      Values.push_back(V);
+    }
+  }
+  kern::executeGroups(Kernel, Call.Range, kern::ArgsView(std::move(Values)), 0,
+                      Call.Range.totalGroups());
+}
+
 void fcl::work::computeReference(const Workload &W,
                                  std::vector<std::vector<std::byte>> &HostBufs) {
   FCL_CHECK(HostBufs.size() == W.Buffers.size(), "buffer count mismatch");
-  for (const KernelCall &Call : W.Calls) {
-    const kern::KernelInfo &Kernel =
-        kern::Registry::builtin().get(Call.Kernel);
-    std::vector<kern::ArgValue> Values;
-    for (const runtime::KArg &A : Call.Args) {
-      if (A.IsBuffer) {
-        std::vector<std::byte> &B = HostBufs[A.Buf];
-        Values.push_back(kern::ArgValue::buffer(B.data(), B.size()));
-      } else {
-        kern::ArgValue V;
-        V.IntValue = A.IntValue;
-        V.FpValue = A.FpValue;
-        Values.push_back(V);
-      }
-    }
-    kern::ArgsView Args(std::move(Values));
-    std::vector<std::byte> Scratch(Kernel.LocalBytes);
-    kern::Dim3 Groups = Call.Range.numGroups();
-    uint64_t Items = Call.Range.itemsPerGroup();
-    for (uint64_t Flat = 0; Flat < Call.Range.totalGroups(); ++Flat) {
-      if (!Scratch.empty())
-        std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-      kern::executeWorkGroup(Kernel, Call.Range,
-                             kern::unflattenGroupId(Flat, Groups), Args, 0,
-                             Items, Scratch.empty() ? nullptr : Scratch.data());
-    }
-  }
+  for (const KernelCall &Call : W.Calls)
+    executeOnHost(kern::Registry::builtin().get(Call.Kernel), Call, HostBufs);
 }
 
 Validation fcl::work::validateResults(

@@ -20,6 +20,7 @@
 
 #include "fluidicl/Options.h"
 #include "hw/Machine.h"
+#include "kern/Kernel.h"
 #include "mcl/Context.h"
 #include "runtime/ProfiledSplit.h"
 #include "socl/PerfModel.h"
@@ -47,6 +48,12 @@ struct RunResult {
 
 /// Deterministic pseudo-random host data for every buffer of \p W.
 std::vector<std::vector<std::byte>> initHostData(const Workload &W);
+
+/// Executes one call of \p Kernel (the kernel \p Call names, resolved by
+/// the caller) directly on \p HostBufs, the buffers \p Call's buffer
+/// arguments index.
+void executeOnHost(const kern::KernelInfo &Kernel, const KernelCall &Call,
+                   std::vector<std::vector<std::byte>> &HostBufs);
 
 /// Executes \p W's kernel sequence directly on \p HostBufs (the reference
 /// a correct runtime must match bit-for-bit up to float associativity -

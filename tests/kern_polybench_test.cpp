@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 using namespace fcl;
@@ -26,15 +27,7 @@ namespace {
 /// Runs \p Kernel functionally over the full \p Range.
 void runKernel(const KernelInfo &Kernel, const NDRange &Range,
                const ArgsView &Args) {
-  std::vector<std::byte> Scratch(Kernel.LocalBytes);
-  Dim3 Groups = Range.numGroups();
-  for (uint64_t Flat = 0; Flat < Range.totalGroups(); ++Flat) {
-    if (!Scratch.empty())
-      std::fill(Scratch.begin(), Scratch.end(), std::byte{0});
-    executeWorkGroup(Kernel, Range, unflattenGroupId(Flat, Groups), Args, 0,
-                     Range.itemsPerGroup(),
-                     Scratch.empty() ? nullptr : Scratch.data());
-  }
+  executeGroups(Kernel, Range, Args, 0, Range.totalGroups());
 }
 
 std::vector<float> randomVec(size_t N, uint64_t Seed) {
@@ -349,6 +342,27 @@ TEST(VectorKernelTest, BlockSumUsesBarrierPhases) {
       Want += X[G * Local + I];
     EXPECT_FLOAT_EQ(Partial[G], Want);
   }
+}
+
+TEST(VectorKernelTest, SplitGroupRangeMatchesOneCall) {
+  // block_sum is the one kernel with local scratch: a range split must
+  // still zero and reuse it per work-group, leaving the same bytes.
+  const int64_t N = 512;
+  const NDRange Range = NDRange::of1D(N, 64);
+  const KernelInfo &K = Registry::builtin().get("block_sum");
+  ASSERT_GT(K.LocalBytes, 0u);
+  auto X = randomVec(N, 23);
+  std::vector<float> Whole(Range.totalGroups(), 0), Split = Whole;
+  executeGroups(K, Range,
+                ArgsView({bufArg(X), bufArg(Whole), ArgValue::scalarInt(N)}),
+                0, Range.totalGroups());
+  ArgsView SplitArgs({bufArg(X), bufArg(Split), ArgValue::scalarInt(N)});
+  executeGroups(K, Range, SplitArgs, 0, 3);
+  executeGroups(K, Range, SplitArgs, 3, Range.totalGroups());
+  EXPECT_GT(Whole.back(), 0.0f);
+  EXPECT_EQ(std::memcmp(Whole.data(), Split.data(),
+                        Whole.size() * sizeof(float)),
+            0);
 }
 
 // --- Merge kernel (paper Figure 9) ---------------------------------------------

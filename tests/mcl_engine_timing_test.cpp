@@ -166,7 +166,7 @@ TEST(CpuEngineTest, SkipFunctionalSuppressesWritesOnly) {
   }
   // Y unchanged despite the launch consuming simulated time.
   std::vector<float> Out(N, -1.0f);
-  Queue->enqueueRead(*Y, Out.data(), N * 4, 0, /*Blocking=*/true);
+  Queue->enqueueRead(*Y, Out.data(), N * 4)->wait();
   for (float V : Out)
     EXPECT_FLOAT_EQ(V, 0.0f);
 
@@ -176,7 +176,7 @@ TEST(CpuEngineTest, SkipFunctionalSuppressesWritesOnly) {
     Queue->enqueueKernel(Desc)->wait();
     Executed = Ctx.now() - T0;
   }
-  Queue->enqueueRead(*Y, Out.data(), N * 4, 0, /*Blocking=*/true);
+  Queue->enqueueRead(*Y, Out.data(), N * 4)->wait();
   for (float V : Out)
     EXPECT_FLOAT_EQ(V, 5.0f);
   // Timing is identical either way: suppression is purely functional.

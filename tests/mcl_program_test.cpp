@@ -86,7 +86,7 @@ TEST(KernelObjectTest, EndToEndLaunchThroughQueue) {
   K.setArgBuffer(2, C.get());
   K.setArgInt(3, N);
   Queue->enqueueKernel(K.buildLaunch(kern::NDRange::of1D(N, 32)))->wait();
-  Queue->enqueueRead(*C, HC.data(), N * 4, 0, /*Blocking=*/true);
+  Queue->enqueueRead(*C, HC.data(), N * 4)->wait();
   for (int64_t I = 0; I < N; ++I)
     EXPECT_FLOAT_EQ(HC[static_cast<size_t>(I)], 9.0f);
 }
@@ -110,7 +110,7 @@ TEST(KernelObjectTest, ArgumentsRetainedAcrossLaunches) {
   // Launch twice with retained args: y = 3 + 3 = 6.
   Queue->enqueueKernel(K.buildLaunch(kern::NDRange::of1D(N, 32)));
   Queue->enqueueKernel(K.buildLaunch(kern::NDRange::of1D(N, 32)));
-  Queue->enqueueRead(*Y, HY.data(), N * 4, 0, /*Blocking=*/true);
+  Queue->enqueueRead(*Y, HY.data(), N * 4)->wait();
   for (float V : HY)
     EXPECT_FLOAT_EQ(V, 6.0f);
 }

@@ -93,7 +93,7 @@ TEST(QueueTest, WriteReadRoundTrip) {
     Src[I] = static_cast<uint8_t>(I);
   Queue->enqueueWrite(*Buf, Src.data(), Src.size());
   std::vector<uint8_t> Dst(256, 0);
-  Queue->enqueueRead(*Buf, Dst.data(), Dst.size(), 0, /*Blocking=*/true);
+  Queue->enqueueRead(*Buf, Dst.data(), Dst.size())->wait();
   EXPECT_EQ(Src, Dst);
 }
 
@@ -104,7 +104,7 @@ TEST(QueueTest, OffsetWriteAndRead) {
   uint32_t Value = 0xDEADBEEF;
   Queue->enqueueWrite(*Buf, &Value, sizeof(Value), 16);
   uint32_t Out = 0;
-  Queue->enqueueRead(*Buf, &Out, sizeof(Out), 16, /*Blocking=*/true);
+  Queue->enqueueRead(*Buf, &Out, sizeof(Out), 16)->wait();
   EXPECT_EQ(Out, 0xDEADBEEFu);
 }
 
@@ -116,7 +116,7 @@ TEST(QueueTest, WriteCapturesSourceAtEnqueue) {
   Queue->enqueueWrite(*Buf, &Value, sizeof(Value));
   Value = 2; // Mutate after enqueue; the captured copy must win.
   uint32_t Out = 0;
-  Queue->enqueueRead(*Buf, &Out, sizeof(Out), 0, /*Blocking=*/true);
+  Queue->enqueueRead(*Buf, &Out, sizeof(Out))->wait();
   EXPECT_EQ(Out, 1u);
 }
 
@@ -159,6 +159,28 @@ TEST(QueueTest, CallbackMayEnqueueOntoOtherQueuesMidPump) {
   EXPECT_TRUE(QCpu->idle());
   EXPECT_EQ(Order,
             (std::vector<std::string>{"a1", "b1", "a2", "a3"}));
+}
+
+TEST(QueueTest, SubscriberEnqueueRunsAfterPendingCommands) {
+  Context Ctx;
+  auto Q = Ctx.createQueue(Ctx.gpu(), "in-order");
+  auto Buf = Ctx.createBuffer(Ctx.gpu(), 4096);
+  std::vector<std::string> Order;
+  bool IdleInside = true;
+  EventPtr Running = Q->enqueueWrite(*Buf, nullptr, 4096);
+  Running->onComplete([&] {
+    Order.push_back("write done");
+    // The running command is still the queue's head here.
+    IdleInside = Q->idle();
+    Q->enqueueCallback([&] { Order.push_back("late"); });
+  });
+  Q->enqueueCallback([&] { Order.push_back("pending1"); });
+  Q->enqueueCallback([&] { Order.push_back("pending2"); });
+  Q->finish();
+  EXPECT_FALSE(IdleInside);
+  EXPECT_TRUE(Q->idle());
+  EXPECT_EQ(Order, (std::vector<std::string>{"write done", "pending1",
+                                             "pending2", "late"}));
 }
 
 TEST(QueueTest, GpuWriteTimingMatchesPcieModel) {
@@ -246,7 +268,7 @@ TEST_P(DeviceLaunchTest, VecAddFunctional) {
   EventPtr Done = Queue->enqueueKernel(vecAddDesc(*A, *B, *C, N));
   Done->wait();
   EXPECT_EQ(Done->payload(), N / 32u); // All groups executed.
-  Queue->enqueueRead(*C, HC.data(), N * 4, 0, /*Blocking=*/true);
+  Queue->enqueueRead(*C, HC.data(), N * 4)->wait();
   for (int64_t I = 0; I < N; ++I)
     EXPECT_FLOAT_EQ(HC[I], 5.0f);
 }
@@ -269,7 +291,7 @@ TEST_P(DeviceLaunchTest, FlatRangeRestrictionExecutesOnlySlice) {
   EventPtr Done = Queue->enqueueKernel(std::move(Desc));
   Done->wait();
   EXPECT_EQ(Done->payload(), 3u);
-  Queue->enqueueRead(*C, HC.data(), N * 4, 0, /*Blocking=*/true);
+  Queue->enqueueRead(*C, HC.data(), N * 4)->wait();
   for (int64_t I = 0; I < N; ++I) {
     if (I >= 64 && I < 160)
       EXPECT_FLOAT_EQ(HC[I], 2.0f) << I;

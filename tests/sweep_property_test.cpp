@@ -155,7 +155,7 @@ TEST_P(FlatRangeSweepTest, GpuExecutesExactlyTheRequestedGroups) {
   mcl::EventPtr Done = Queue->enqueueKernel(std::move(Desc));
   Done->wait();
   EXPECT_EQ(Done->payload(), End - Begin);
-  Queue->enqueueRead(*Y, HY.data(), N * 4, 0, /*Blocking=*/true);
+  Queue->enqueueRead(*Y, HY.data(), N * 4)->wait();
   for (int64_t I = 0; I < N; ++I) {
     uint64_t Group = static_cast<uint64_t>(I) / 32;
     float Want = (Group >= Begin && Group < End) ? 5.0f : 0.0f;

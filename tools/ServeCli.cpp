@@ -72,10 +72,6 @@ bool usageError(const std::string &Msg) {
 
 bool parseConfig(const ArgParser &Args, const Tool &T,
                  serve::EngineConfig &Cfg) {
-  Cfg.Streams = static_cast<int>(Args.i64("streams"));
-  Cfg.Seed = static_cast<uint64_t>(Args.i64("seed"));
-  Cfg.Horizon = Duration::seconds(Args.f64("duration"));
-  Cfg.SloMs = Args.f64("slo-ms");
   Cfg.MachineName = Args.str("machine");
   if (!hw::machineByName(Cfg.MachineName, Cfg.M))
     return usageError(formatString("unknown --machine '%s' (expected %s)",
@@ -110,14 +106,21 @@ bool parseConfig(const ArgParser &Args, const Tool &T,
   if (!check::parsePolicy(Args.str("races"), Cfg.Races))
     return usageError(formatString("bad --races value '%s' (off|warn|fail)",
                                    Args.str("races").c_str()));
-  if (Cfg.Streams <= 0 || Cfg.Horizon <= Duration::zero())
-    return usageError("need positive --streams and --duration");
   // The engine FCL_CHECKs a positive depth; a negative threshold would
-  // wrap to "every job is small".
-  int64_t QueueDepth = 0, Threshold = 0;
-  if (!Args.number<int64_t>("queue-depth", QueueDepth, 1, INT_MAX) ||
+  // wrap to "every job is small". The horizon must last at least one
+  // simulated nanosecond.
+  int64_t Streams = 0, Seed = 0, QueueDepth = 0, Threshold = 0;
+  double Seconds = 0;
+  if (!Args.number<int64_t>("streams", Streams, 1, INT_MAX) ||
+      !Args.number<int64_t>("seed", Seed, 0) ||
+      !Args.number("duration", Seconds, 1e-9) ||
+      !Args.number("slo-ms", Cfg.SloMs, 0.0) ||
+      !Args.number<int64_t>("queue-depth", QueueDepth, 1, INT_MAX) ||
       !Args.number<int64_t>("threshold", Threshold, 0))
     return usageError(Args.error());
+  Cfg.Streams = static_cast<int>(Streams);
+  Cfg.Seed = static_cast<uint64_t>(Seed);
+  Cfg.Horizon = Duration::seconds(Seconds);
   Cfg.QueueDepth = static_cast<int>(QueueDepth);
   Cfg.LargeThreshold = static_cast<uint64_t>(Threshold);
   return true;

@@ -158,9 +158,15 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  int64_t Budget = 0;
+  if (!Args.number<int64_t>("budget", Budget, 0)) {
+    std::fprintf(stderr, "error: %s\n", Args.error().c_str());
+    return 1;
+  }
+
   check::DiagSink Sink(check::Policy::Fail);
-  std::vector<check::KernelVerdict> Verdicts = check::checkAllKernels(
-      Sink, static_cast<uint64_t>(Args.i64("budget")));
+  std::vector<check::KernelVerdict> Verdicts =
+      check::checkAllKernels(Sink, static_cast<uint64_t>(Budget));
   if (!Sink.diags().empty())
     std::printf("%s\n", Sink.renderAll().c_str());
   std::printf("%s", check::renderSafetyReport(Verdicts).c_str());

@@ -50,11 +50,18 @@ int main(int Argc, char **Argv) {
           servecli::parseFlags(Args, Argc, Argv, Cluster, Cfg.Worker))
     return *Rc;
 
-  Cfg.Workers = static_cast<int>(Args.i64("workers"));
-  if (Cfg.Workers <= 0 || Cfg.Workers > 64) {
-    std::fprintf(stderr, "error: --workers must be in [1, 64]\n");
+  // The epoch quantum must last at least one simulated nanosecond.
+  int64_t Workers = 0;
+  double QuantumMs = 0, LinkUs = 0;
+  if (!Args.number<int64_t>("workers", Workers, 1, 64) ||
+      !Args.number("quantum-ms", QuantumMs, 1e-6) ||
+      !Args.number("link-us", LinkUs, 0.0)) {
+    std::fprintf(stderr, "error: %s\n", Args.error().c_str());
     return 1;
   }
+  Cfg.Workers = static_cast<int>(Workers);
+  Cfg.Quantum = Duration::seconds(QuantumMs * 1e-3);
+  Cfg.LinkLatency = Duration::seconds(LinkUs * 1e-6);
   if (!cluster::parsePlacement(Args.str("placement"), Cfg.Place)) {
     std::fprintf(stderr,
                  "error: unknown --placement '%s' (hash|least|size)\n",
@@ -68,17 +75,6 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   Cfg.Steal = Steal == "on";
-  Cfg.Quantum = Duration::seconds(Args.f64("quantum-ms") * 1e-3);
-  if (Cfg.Quantum <= Duration::zero()) {
-    std::fprintf(stderr, "error: need positive --quantum-ms\n");
-    return 1;
-  }
-  double LinkUs = 0;
-  if (!Args.number("link-us", LinkUs, 0.0)) {
-    std::fprintf(stderr, "error: %s\n", Args.error().c_str());
-    return 1;
-  }
-  Cfg.LinkLatency = Duration::seconds(LinkUs * 1e-6);
 
   servecli::Outputs Out(Args, Cluster, Cfg.Worker);
   cluster::Cluster Tier(Cfg);

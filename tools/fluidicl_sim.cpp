@@ -36,7 +36,11 @@ using namespace fcl::work;
 
 namespace {
 
-/// Builds the requested workloads.
+/// The --workload names selectWorkloads accepts.
+constexpr const char *WorkloadNames =
+    "atax|bicg|corr|gesummv|syrk|syr2k|mvt|gemm|2mm|paper|extended";
+
+/// Builds the requested workloads; empty for an unknown name.
 std::vector<Workload> selectWorkloads(const std::string &Name, int64_t Size) {
   if (Name == "paper")
     return paperSuite();
@@ -147,10 +151,7 @@ RunResult runOne(RuntimeKind K, const Workload &W, const ToolConfig &Cfg,
 int main(int Argc, char **Argv) {
   ArgParser Args("fluidicl_sim",
                  "run FluidiCL reproduction workloads under any runtime");
-  Args.addOption("workload",
-                 "atax|bicg|corr|gesummv|syrk|syr2k|mvt|gemm|2mm|paper|"
-                 "extended",
-                 "paper");
+  Args.addOption("workload", WorkloadNames, "paper");
   Args.addOption("size", "problem size override (0 = workload default)",
                  "0");
   Args.addOption("runtime", std::string(runtimeNames()) + "|all", "all");
@@ -256,18 +257,16 @@ int main(int Argc, char **Argv) {
                  Args.str("races").c_str());
     return 1;
   }
+  std::vector<Workload> Loads = selectWorkloads(Args.str("workload"), Size);
+  if (Loads.empty()) {
+    std::fprintf(stderr, "error: unknown --workload '%s' (expected %s)\n",
+                 Args.str("workload").c_str(), WorkloadNames);
+    return 1;
+  }
 
   if (Args.flag("prof"))
     prof::Profiler::instance().setEnabled(true);
   race::armAnalyzer(RacesPol);
-
-  std::vector<Workload> Loads =
-      selectWorkloads(Args.str("workload"), Size);
-  if (Loads.empty()) {
-    std::fprintf(stderr, "unknown workload '%s'\n%s",
-                 Args.str("workload").c_str(), Args.helpText().c_str());
-    return 1;
-  }
 
   bool Validate = Args.flag("functional");
   bool AnyInvalid = false;

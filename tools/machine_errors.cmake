@@ -1,7 +1,8 @@
-# Error-path gate for --machine (and fluidicl_sim's --runtime and numeric
-# options): every simulator-backed tool must reject an unknown machine name
-# with a single-line stderr diagnostic naming the bad value and the
-# accepted set, and the usage exit code 1 - not a crash, not a silent
+# Error-path gate for --machine (plus fluidicl_sim's --runtime and
+# --workload names and every tool's numeric options): every
+# simulator-backed tool must reject an unknown machine name with a
+# single-line stderr diagnostic naming the bad value and the accepted
+# set, and the usage exit code 1 - not a crash, not a silent
 # fallback to the paper machine. Invoked by ctest as
 #
 #   cmake -DSIM=<fluidicl_sim> -DCHECK=<fluidicl_check>
@@ -59,6 +60,7 @@ expect_machine_error("${CLUSTER}" --workers=2 --streams=2 --duration=0.01)
 # fluidicl_sim resolves --runtime through the same kind of name table and
 # must reject an unknown name before running anything.
 expect_unknown_value("${SIM}" runtime bogus --workload=syrk --size=64)
+expect_unknown_value("${SIM}" workload nosuch)
 # fluidicl_sim's numeric options are range-checked before any run: a GPU
 # share outside [0, 1], a chunk outside (0, 100], a negative or
 # non-numeric step or size, and a load factor that is not positive.
@@ -72,7 +74,18 @@ expect_bad_number("${SIM}" cpu-load -1 ${BICG} --runtime=cpu)
 expect_bad_number("${SIM}" gpu-load 0 ${BICG} --runtime=gpu)
 expect_bad_number("${SIM}" size abc --workload=bicg --runtime=cpu)
 expect_bad_number("${SIM}" size -3 --workload=bicg --runtime=cpu)
+# The serving tools and fluidicl_check hold their numbers to the same
+# rule: a fractional or non-numeric integer, a negative seed or SLO, and
+# a horizon or epoch quantum that is not positive.
+set(SHORT --streams=2 --duration=0.01)
+expect_bad_number("${SERVE}" seed abc ${SHORT})
+expect_bad_number("${SERVE}" streams 2.5 --duration=0.01)
+expect_bad_number("${SERVE}" slo-ms -1 ${SHORT})
+expect_bad_number("${SERVE}" duration 0 --streams=2)
+expect_bad_number("${CLUSTER}" workers 2.5 ${SHORT})
+expect_bad_number("${CLUSTER}" quantum-ms abc --workers=2 ${SHORT})
+expect_bad_number("${CHECK}" budget abc --no-runtimes)
 
 message(STATUS
-  "all four tools reject unknown --machine names (and fluidicl_sim unknown "
-  "--runtime names and out-of-range numbers) cleanly")
+  "all four tools reject unknown --machine names, unknown fluidicl_sim "
+  "--runtime/--workload names and out-of-range numbers cleanly")
