@@ -270,23 +270,19 @@ ClusterReport Cluster::run() {
 
   // Collect race findings before engine teardown so the destructors (and
   // the trace merge below) run unanalyzed, mirroring serve::Engine::run.
-  if (RacesOn) {
-    check::DiagSink Sink(check::Policy::Warn);
-    race::disarmAnalyzer(Sink);
-    RaceFindingsN = Sink.diags().size();
-    for (const check::Diag &D : Sink.diags())
-      RaceDiagLines.push_back(D.str());
-  }
+  if (RacesOn)
+    Found.takeRaceFindings();
 
   std::vector<serve::ServeReport> WReps;
   WReps.reserve(Workers.size());
   for (auto &W : Workers) {
     serve::ServeReport R = W->Eng->finish();
-    CheckErrorsN += R.CheckErrors;
-    CheckWarningsN += R.CheckWarnings;
+    Found.CheckErrors += R.CheckErrors;
+    Found.CheckWarnings += R.CheckWarnings;
     for (const std::string &L : R.CheckDiags)
-      CheckDiagLines.push_back(formatString("w%d: %s", W->Index, L.c_str()));
-    ValidationFailuresN += R.ValidationFailures;
+      Found.CheckDiags.push_back(
+          formatString("w%d: %s", W->Index, L.c_str()));
+    Found.ValidationFailures += R.ValidationFailures;
     WReps.push_back(std::move(R));
   }
 
@@ -302,6 +298,7 @@ ClusterReport Cluster::run() {
 
 ClusterReport Cluster::finalize(const std::vector<serve::ServeReport> &WReps) {
   ClusterReport Rep;
+  static_cast<serve::Verdicts &>(Rep) = Found;
   Rep.Workers = Cfg.Workers;
   Rep.PlacementName = placementName(Cfg.Place);
   Rep.Steal = Cfg.Steal;
@@ -368,14 +365,7 @@ ClusterReport Cluster::finalize(const std::vector<serve::ServeReport> &WReps) {
         ++Rep.SloViolations;
   Rep.Validated = Cfg.Worker.Validate &&
                   Cfg.Worker.Mode == mcl::ExecMode::Functional;
-  Rep.ValidationFailures = ValidationFailuresN;
   Rep.CheckEnabled = Cfg.Worker.FclOpts.Check != check::Policy::Off;
-  Rep.CheckErrors = CheckErrorsN;
-  Rep.CheckWarnings = CheckWarningsN;
-  Rep.CheckDiags = CheckDiagLines;
-  Rep.RacesEnabled = RacesOn;
-  Rep.RaceFindings = RaceFindingsN;
-  Rep.RaceDiags = RaceDiagLines;
 
   Rep.Stats.add("cluster_jobs_submitted", Rep.Submitted);
   Rep.Stats.add("cluster_jobs_rejected", Rep.Rejected);

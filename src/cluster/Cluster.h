@@ -133,13 +133,9 @@ private:
   /// fcl::race shadow objects for the master's own shared structures.
   std::string JobsObj;
 
-  // Aggregated fcl::check / fcl::race outcome.
-  uint64_t CheckErrorsN = 0;
-  uint64_t CheckWarningsN = 0;
-  std::vector<std::string> CheckDiagLines;
-  uint64_t RaceFindingsN = 0;
-  std::vector<std::string> RaceDiagLines;
-  uint64_t ValidationFailuresN = 0;
+  /// Validation failures and fcl::check / fcl::race outcome, summed over
+  /// workers; finalize copies it into the report.
+  serve::Verdicts Found;
 };
 
 } // namespace cluster

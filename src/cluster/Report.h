@@ -47,27 +47,15 @@ struct WorkerSummary {
   serve::LatencySummary E2e; // Jobs that completed on this worker.
 };
 
-/// Final state of one cluster job (master's view).
-struct ClusterJobRecord {
-  uint64_t Id = 0;
-  int Stream = 0;
-  std::string Workload;
-  uint64_t MaxGroups = 0;
-  bool Large = false;
+/// Final state of one cluster job (master's view). ArrivalAt is the
+/// cluster arrival (pre-placement).
+struct ClusterJobRecord : serve::JobRecord {
   /// Worker of first placement and the worker that finished the job;
   /// they differ exactly when the job was stolen.
   int FirstWorker = -1;
   int Worker = -1;
   bool Stolen = false;
-  bool Rejected = false;
   bool Done = false;
-  TimePoint ArrivalAt; // Cluster arrival (pre-placement).
-  TimePoint StartAt;
-  TimePoint EndAt;
-
-  double queueWaitMs() const { return (StartAt - ArrivalAt).toMillis(); }
-  double serviceMs() const { return (EndAt - StartAt).toMillis(); }
-  double e2eMs() const { return (EndAt - ArrivalAt).toMillis(); }
 };
 
 /// Aggregate outcome of one cluster run. The verdicts bind to cluster e2e

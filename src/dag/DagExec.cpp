@@ -8,11 +8,11 @@
 
 #include "hw/CostModel.h"
 #include "kern/Registry.h"
+#include "mcl/Device.h"
 #include "race/Race.h"
 #include "support/Error.h"
 #include "support/Format.h"
 #include "trace/Tracer.h"
-#include "work/Driver.h"
 
 #include <algorithm>
 #include <atomic>
@@ -24,7 +24,7 @@ using namespace fcl::dag;
 DagJobExec::DagJobExec(mcl::Context &Ctx, const work::Workload &W,
                        const Graph &G, Placement Place, bool Validate,
                        DagStats *Stats, trace::Tracer *Trace)
-    : Ctx(Ctx), W(W), G(G), Place(Place), Validate(Validate), Stats(Stats),
+    : JobExec(Ctx, W, Validate), G(G), Place(Place), Stats(Stats),
       Trace(Trace), Res(W.Buffers.size()) {
   FCL_CHECK(G.size() == W.Calls.size(), "graph does not describe workload");
   static std::atomic<uint64_t> NextRaceId{0};
@@ -35,19 +35,12 @@ DagJobExec::DagJobExec(mcl::Context &Ctx, const work::Workload &W,
 DagJobExec::~DagJobExec() = default;
 
 void DagJobExec::start(DoneFn Done) {
-  OnDone = std::move(Done);
-  bool Functional = Ctx.functional();
-  if (Functional) {
-    Stage = work::initHostData(W);
-    Init = Stage;
-  }
+  begin(std::move(Done));
+  if (Ctx.functional())
+    Stage = Host;
   Qs[GpuIdx] = Ctx.createQueue(Ctx.gpu(), "dag-gpu");
   Qs[CpuIdx] = Ctx.createQueue(Ctx.cpu(), "dag-cpu");
   Bufs.resize(W.Buffers.size());
-  Results.resize(W.ResultBuffers.size());
-  if (Functional)
-    for (size_t R = 0; R < W.ResultBuffers.size(); ++R)
-      Results[R].resize(W.Buffers[W.ResultBuffers[R]].Bytes);
 
   Indegree.resize(G.size());
   NodeDevice.assign(G.size(), GpuIdx);
@@ -93,8 +86,8 @@ void DagJobExec::accountTransfer(size_t D, uint64_t Bytes) {
 mcl::Buffer &DagJobExec::deviceBuf(size_t B, size_t D) {
   if (!Bufs[B][D]) {
     Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-    mcl::Device &Dev = D == GpuIdx ? Ctx.gpu() : Ctx.cpu();
-    Bufs[B][D] = Ctx.createBuffer(Dev, W.Buffers[B].Bytes, W.Buffers[B].Name);
+    Bufs[B][D] =
+        Ctx.createBuffer(dev(D), W.Buffers[B].Bytes, W.Buffers[B].Name);
   }
   return *Bufs[B][D];
 }
@@ -104,7 +97,6 @@ void DagJobExec::launchNode(size_t N) {
   size_t D = pickDevice(N);
   NodeDevice[N] = D;
   NodeStart[N] = Ctx.now();
-  NodeEstNs[N] = transferNs(N, D) + computeNs(N, D);
   BacklogNs[D] += NodeEstNs[N];
   bool Functional = Ctx.functional();
   Duration Api = Ctx.machine().Host.ApiCallOverhead;
@@ -259,41 +251,15 @@ void DagJobExec::finishDag() {
   }
 }
 
-void DagJobExec::finishJob() {
-  if (Validate && Ctx.functional())
-    ValidationFailed = !work::validateResults(W, Init, Results).Valid;
-  FCL_CHECK(OnDone, "job finished twice");
-  DoneFn Fn = std::move(OnDone);
-  OnDone = nullptr;
-  Fn();
-}
-
 // --- Placement scoring ------------------------------------------------------
 
 double DagJobExec::xferNs(size_t D, uint64_t Bytes) const {
-  const hw::Machine &M = Ctx.machine();
-  if (pciePriced(D))
-    return static_cast<double>(M.Pcie.transferTime(Bytes).nanos());
-  return static_cast<double>(M.Host.memcpyTime(Bytes).nanos());
+  return static_cast<double>(dev(D).transferTime(Bytes).nanos());
 }
 
-double DagJobExec::computeNs(size_t N, size_t D) const {
+double DagJobExec::computeNs(size_t N, size_t D,
+                             const hw::WorkItemCost &C) const {
   const work::KernelCall &Call = W.Calls[N];
-  const kern::KernelInfo &K = kern::Registry::builtin().get(Call.Kernel);
-  kern::CostQuery Q;
-  Q.Range = Call.Range;
-  for (const runtime::KArg &A : Call.Args) {
-    if (A.IsBuffer) {
-      Q.Scalars.push_back(
-          kern::ArgValue::buffer(nullptr, W.Buffers[A.Buf].Bytes));
-    } else {
-      kern::ArgValue V;
-      V.IntValue = A.IntValue;
-      V.FpValue = A.FpValue;
-      Q.Scalars.push_back(V);
-    }
-  }
-  hw::WorkItemCost C = K.Cost(Q);
   const hw::Machine &M = Ctx.machine();
   if (D == GpuIdx) {
     hw::AbortConfig NoAbort; // Unmodified kernel on one device.
@@ -333,8 +299,21 @@ double DagJobExec::transferNs(size_t N, size_t D) const {
   return Total;
 }
 
-size_t DagJobExec::pickDevice(size_t N) const {
-  double Sg = BacklogNs[GpuIdx] + transferNs(N, GpuIdx) + computeNs(N, GpuIdx);
-  double Sc = BacklogNs[CpuIdx] + transferNs(N, CpuIdx) + computeNs(N, CpuIdx);
-  return Sg <= Sc ? GpuIdx : CpuIdx; // Tie goes to the GPU.
+size_t DagJobExec::pickDevice(size_t N) {
+  // One cost evaluation per node, through the engines' own launch-cost
+  // path. Cost descriptors read only scalars, so no buffer is bound.
+  const work::KernelCall &Call = W.Calls[N];
+  hw::WorkItemCost C = mcl::launchCost(runtime::bindLaunch(
+      kern::Registry::builtin().get(Call.Kernel), Call.Range, Call.Args,
+      [](runtime::BufferId) -> mcl::Buffer * { return nullptr; }));
+  double Xfer[2], Comp[2];
+  for (size_t D : {GpuIdx, CpuIdx}) {
+    Xfer[D] = transferNs(N, D);
+    Comp[D] = computeNs(N, D, C);
+  }
+  double Sg = BacklogNs[GpuIdx] + Xfer[GpuIdx] + Comp[GpuIdx];
+  double Sc = BacklogNs[CpuIdx] + Xfer[CpuIdx] + Comp[CpuIdx];
+  size_t D = Sg <= Sc ? GpuIdx : CpuIdx; // Tie goes to the GPU.
+  NodeEstNs[N] = Xfer[D] + Comp[D];
+  return D;
 }

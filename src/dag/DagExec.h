@@ -59,6 +59,9 @@ private:
   static constexpr size_t GpuIdx = 0;
   static constexpr size_t CpuIdx = 1;
   static Loc devLoc(size_t D) { return D == GpuIdx ? Loc::Gpu : Loc::Cpu; }
+  mcl::Device &dev(size_t D) const {
+    return D == GpuIdx ? Ctx.gpu() : Ctx.cpu();
+  }
 
   void pump();
   void launchNode(size_t N);
@@ -66,7 +69,6 @@ private:
   void onKernelComplete(size_t N);
   void nodeRetired(size_t N);
   void finishDag();
-  void finishJob();
 
   /// Whether transfers touching device \p D cross the PCIe link.
   bool pciePriced(size_t D) const;
@@ -74,33 +76,29 @@ private:
   /// Ensures a device buffer exists for workload buffer \p B on \p D.
   mcl::Buffer &deviceBuf(size_t B, size_t D);
 
-  /// Estimated nanoseconds to run node \p N's kernel on device \p D.
-  double computeNs(size_t N, size_t D) const;
+  /// Estimated nanoseconds to run node \p N's kernel, whose per-work-item
+  /// cost is \p C, on device \p D.
+  double computeNs(size_t N, size_t D, const hw::WorkItemCost &C) const;
   /// Estimated nanoseconds of input (and, blind, output) transfers node
   /// \p N pays when placed on \p D, given current residency.
   double transferNs(size_t N, size_t D) const;
   /// Estimated nanoseconds to move \p Bytes to or from device \p D.
   double xferNs(size_t D, uint64_t Bytes) const;
-  size_t pickDevice(size_t N) const;
+  /// Places node \p N on the device with the earliest estimated
+  /// completion and records the estimate in NodeEstNs[N].
+  size_t pickDevice(size_t N);
 
-  mcl::Context &Ctx;
-  const work::Workload &W;
   const Graph &G;
   Placement Place;
-  bool Validate;
   DagStats *Stats;
   trace::Tracer *Trace;
 
   std::array<std::unique_ptr<mcl::CommandQueue>, 2> Qs;
   /// One lazily-created device buffer per workload buffer per device.
   std::vector<std::array<std::unique_ptr<mcl::Buffer>, 2>> Bufs;
-  /// Pristine initial host data, kept aside for validation (the host
-  /// reference executes in place and must start from the same inputs).
-  std::vector<std::vector<std::byte>> Init; // Functional mode only.
-  /// Host-side transfer medium: uploads source from it, fetches and final
-  /// reads land in it.
+  /// Host-side transfer medium, starting as a copy of the pristine Host
+  /// inputs: uploads source from it, fetches and final reads land in it.
   std::vector<std::vector<std::byte>> Stage; // Functional mode only.
-  std::vector<std::vector<std::byte>> Results;
 
   ResidencyTracker Res;
   std::vector<size_t> Indegree;
@@ -116,7 +114,6 @@ private:
   double BacklogNs[2] = {0, 0};
   size_t DoneN = 0;
   size_t TailsLeft = 0;
-  DoneFn OnDone;
   /// fcl::race critical-section name: callbacks from both device queues
   /// mutate this executor's state.
   std::string RaceSec;

@@ -44,14 +44,6 @@ mcl::LaunchDesc KernelExec::buildDesc(const kern::KernelInfo &K,
   });
 }
 
-void KernelExec::run() {
-  start(nullptr);
-  // Block the application until the kernel is complete (paper section 7:
-  // kernel execution calls are blocking).
-  RT.Ctx.simulator().runWhileNot([this] { return AppComplete; });
-  FCL_CHECK(AppComplete, "kernel execution stalled");
-}
-
 void KernelExec::start(std::function<void()> Done) {
   FCL_PROF_SCOPE("fcl.launch_setup");
   OnDone = std::move(Done);
@@ -540,11 +532,9 @@ void KernelExec::appComplete() {
   Stats.FinalChunkPct = Chunks.currentPct();
   Stats.ChunkGrowthSteps = Chunks.growthSteps();
   Stats.CpuRanEverything = CpuRanAll;
-  if (OnDone) {
-    // Move out first: the callback may re-enter the runtime and launch the
-    // stream's next kernel.
-    std::function<void()> Fn = std::move(OnDone);
-    OnDone = nullptr;
-    Fn();
-  }
+  // Move out first: the callback may re-enter the runtime and launch the
+  // stream's next kernel.
+  std::function<void()> Fn = std::move(OnDone);
+  OnDone = nullptr;
+  Fn();
 }

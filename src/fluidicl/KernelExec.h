@@ -27,21 +27,17 @@ namespace fcl {
 namespace fluidicl {
 
 /// State machine for one kernel launch. Created and driven by
-/// Runtime::launchKernel; kept alive by its own callbacks.
+/// Runtime::launchKernelAsync; kept alive by its own callbacks.
 class KernelExec : public std::enable_shared_from_this<KernelExec> {
 public:
   KernelExec(Runtime &RT, const kern::KernelInfo &Kernel,
              const kern::NDRange &Range,
              const std::vector<runtime::KArg> &Args);
 
-  /// Starts the cooperative execution and blocks (runs the simulator)
-  /// until the kernel is application-complete: either the merge finished
-  /// on the GPU, or the CPU computed the entire NDRange first.
-  void run();
-
-  /// Non-blocking variant for re-entrant callers (the serve layer): starts
-  /// the execution and returns; \p OnDone fires once when the kernel is
-  /// application-complete. run() is start(nullptr) plus a simulator drain.
+  /// Starts the cooperative execution and returns; \p OnDone fires once
+  /// when the kernel is application-complete: either the merge finished on
+  /// the GPU, or the CPU computed the entire NDRange first. The blocking
+  /// Runtime::launchKernel drives the simulator until then.
   void start(std::function<void()> OnDone);
 
   const KernelStats &stats() const { return Stats; }
@@ -113,7 +109,7 @@ private:
   /// mid-wave aborted (wasted) work-groups.
   std::shared_ptr<mcl::LaunchCounters> GpuCounters;
   KernelStats Stats;
-  std::function<void()> OnDone; // Fired once by appComplete (may be null).
+  std::function<void()> OnDone; // Fired once by appComplete.
   /// fcl::race non-reentrant-scope name wrapping the chunk-yield hook
   /// invocation: a hook that pumps its way back into its own yield point
   /// is flagged as a reentrant callback.

@@ -120,12 +120,12 @@ void Runtime::launchKernel(const std::string &KernelName,
                            const kern::NDRange &Range,
                            const std::vector<runtime::KArg> &Args) {
   race::Section RaceS(RaceSec);
-  Ctx.hostAdvance(Ctx.machine().Host.ApiCallOverhead);
-  const kern::KernelInfo &Kernel = kern::Registry::builtin().get(KernelName);
-  FCL_CHECK(Kernel.Args.size() == Args.size(), "argument arity mismatch");
-  auto Exec = std::make_shared<KernelExec>(*this, Kernel, Range, Args);
-  Execs.push_back(Exec);
-  Exec->run();
+  // Kernel execution calls are blocking (paper section 7): drive the
+  // simulator until the kernel is application-complete.
+  bool Done = false;
+  launchKernelAsync(KernelName, Range, Args, [&Done] { Done = true; });
+  Ctx.simulator().runWhileNot([&Done] { return Done; });
+  FCL_CHECK(Done, "kernel execution stalled");
 }
 
 void Runtime::launchKernelAsync(const std::string &KernelName,

@@ -73,8 +73,8 @@ public:
   /// Non-blocking launch for re-entrant callers (the serve layer, which
   /// drives several runtimes from inside simulator events and must not
   /// nest blocking drains per stream). \p OnDone fires once when the
-  /// launch is application-complete. launchKernel remains the blocking
-  /// single-application API and is unchanged in behaviour.
+  /// launch is application-complete. launchKernel, the blocking
+  /// single-application API, is this call plus a simulator drain.
   void launchKernelAsync(const std::string &KernelName,
                          const kern::NDRange &Range,
                          const std::vector<runtime::KArg> &Args,

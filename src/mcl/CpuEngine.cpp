@@ -68,16 +68,15 @@ void CpuEngine::executeLaunch(const LaunchDesc &Desc,
   uint64_t End = Desc.clampedEnd();
   uint64_t Groups = End > Begin ? End - Begin : 0;
 
-  // Capture what functional execution needs by value; buffers outlive the
-  // launch by API contract.
-  LaunchDesc DescCopy = Desc;
-  Ctx.simulator().scheduleAfter(D, [this, DescCopy = std::move(DescCopy),
+  // Desc is borrowed: the queue keeps its command alive until Complete
+  // has run.
+  Ctx.simulator().scheduleAfter(D, [this, &Desc,
                                     Complete = std::move(Complete), Begin,
                                     End, Groups] {
-    bool Skip = DescCopy.SkipFunctional && DescCopy.SkipFunctional();
+    bool Skip = Desc.SkipFunctional && Desc.SkipFunctional();
     if (Ctx.functional() && Groups > 0 && !Skip)
-      kern::executeGroups(*DescCopy.Kernel, DescCopy.Range,
-                          resolveArgs(*this, DescCopy), Begin, End);
+      kern::executeGroups(*Desc.Kernel, Desc.Range, resolveArgs(*this, Desc),
+                          Begin, End);
     Complete(Groups);
   });
 }

@@ -66,7 +66,9 @@ public:
   /// Begins executing \p Desc at the current simulated time; calls
   /// \p Complete(ExecutedGroups) at the simulated completion time.
   /// Functional execution of surviving work-groups happens at their
-  /// simulated completion.
+  /// simulated completion. \p Desc is borrowed, not copied: the caller
+  /// keeps it alive and unchanged until \p Complete has run (the command
+  /// queue does, by holding the command until it completes).
   virtual void executeLaunch(const LaunchDesc &Desc,
                              std::function<void(uint64_t)> Complete) = 0;
 

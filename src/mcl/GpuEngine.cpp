@@ -66,7 +66,8 @@ Duration GpuEngine::launchDuration(const LaunchDesc &Desc) const {
 /// allocates nothing. The engine owns the Run until it finishes.
 struct GpuEngine::Run final : sim::Event {
   GpuEngine *Eng = nullptr;
-  LaunchDesc Desc;
+  /// Borrowed from the queue, which keeps it alive until Complete has run.
+  const LaunchDesc *Desc = nullptr;
   std::function<void(uint64_t)> Complete;
   hw::WorkItemCost Cost;
   uint64_t ItemsPerWg = 0;
@@ -90,11 +91,11 @@ struct GpuEngine::Run final : sim::Event {
   /// NDRange end, lowered by the CPU-completion boundary when one is wired.
   uint64_t currentLimit() const {
     uint64_t Limit = RangeEnd;
-    if (Desc.AbortBoundary && Desc.Abort.Kind != hw::AbortPolicyKind::None) {
-      uint64_t B = Desc.AbortBoundary();
+    if (Desc->AbortBoundary && Desc->Abort.Kind != hw::AbortPolicyKind::None) {
+      uint64_t B = Desc->AbortBoundary();
       Limit = std::min(Limit, B);
     }
-    return std::max(Limit, Desc.clampedBegin());
+    return std::max(Limit, Desc->clampedBegin());
   }
 
   /// Occupancy counter track: live work-groups on the device right now.
@@ -120,7 +121,7 @@ struct GpuEngine::Run final : sim::Event {
     WaveEnd = std::min(Limit, WaveBegin + Wave);
     NextWg = WaveEnd;
     Live = WaveEnd - WaveBegin;
-    NumCheckpoints = hw::gpuWaveCheckpoints(Cost, Desc.Abort);
+    NumCheckpoints = hw::gpuWaveCheckpoints(Cost, Desc->Abort);
     Checkpoint = 0;
     sampleLive(Live);
     scheduleSegment();
@@ -132,7 +133,7 @@ struct GpuEngine::Run final : sim::Event {
   void scheduleSegment() {
     if (Live != CachedLive) {
       CachedLive = Live;
-      CachedWaveTime = hw::gpuWaveTime(Eng->Ctx.machine(), Cost, Desc.Abort,
+      CachedWaveTime = hw::gpuWaveTime(Eng->Ctx.machine(), Cost, Desc->Abort,
                                        Live * ItemsPerWg);
     }
     Duration WaveRemaining = CachedWaveTime;
@@ -150,15 +151,15 @@ struct GpuEngine::Run final : sim::Event {
     ++Checkpoint;
     // Re-read the status word; in-flight work-groups now covered by the
     // CPU abort at their next in-loop check (section 6.4).
-    if (Desc.Abort.Kind == hw::AbortPolicyKind::InLoop) {
+    if (Desc->Abort.Kind == hw::AbortPolicyKind::InLoop) {
       uint64_t Limit = currentLimit();
       uint64_t NewLive =
           Limit >= WaveEnd
               ? WaveEnd - WaveBegin
               : (Limit > WaveBegin ? Limit - WaveBegin : 0);
       if (NewLive < Live) {
-        if (Desc.Counters)
-          Desc.Counters->GroupsWasted += Live - NewLive;
+        if (Desc->Counters)
+          Desc->Counters->GroupsWasted += Live - NewLive;
         Live = NewLive;
         sampleLive(Live);
       }
@@ -176,11 +177,11 @@ struct GpuEngine::Run final : sim::Event {
     // CPU and the merge step).
     if (Live > 0 && Eng->Ctx.functional()) {
       FCL_LOG_DEBUG("gpu commit %s wave [%llu,%llu) at t=%lld",
-                    Desc.Kernel->Name.c_str(),
+                    Desc->Kernel->Name.c_str(),
                     (unsigned long long)WaveBegin,
                     (unsigned long long)(WaveBegin + Live),
                     (long long)Eng->Ctx.now().nanos());
-      kern::executeGroups(*Desc.Kernel, Desc.Range, resolveArgs(*Eng, Desc),
+      kern::executeGroups(*Desc->Kernel, Desc->Range, resolveArgs(*Eng, *Desc),
                           WaveBegin, WaveBegin + Live);
     }
     Executed += Live;
@@ -211,7 +212,7 @@ void GpuEngine::executeLaunch(const LaunchDesc &Desc,
                               std::function<void(uint64_t)> Complete) {
   Run *R = Runs.emplace_back(std::make_unique<Run>()).get();
   R->Eng = this;
-  R->Desc = Desc;
+  R->Desc = &Desc;
   R->Complete = std::move(Complete);
   R->Cost = launchCost(Desc);
   R->ItemsPerWg = Desc.Range.itemsPerGroup();

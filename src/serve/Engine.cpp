@@ -14,7 +14,6 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <string_view>
 
 using namespace fcl;
 using namespace fcl::serve;
@@ -147,54 +146,28 @@ void Engine::startDag(Req *R) {
   R->StartAt = Ctx->now();
   R->Placement = "dag";
   ++DagN;
-  // A compound job owns both devices for its duration; leases are taken
-  // before start() because job setup advances the simulated clock.
-  GpuJob = R;
-  CpuJob = R;
-  GpuLeaseStart = Ctx->now();
-  CpuLeaseStart = Ctx->now();
-  if (race::Analyzer::enabled()) {
-    race::Analyzer::instance().leaseAcquire(
-        GpuLeaseName,
-        formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-    race::Analyzer::instance().leaseAcquire(
-        CpuLeaseName,
-        formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-  }
-  R->Exec = std::make_unique<dag::DagJobExec>(*Ctx, R->T->W, *R->T->Dag,
-                                              Cfg.DagPlace, Cfg.Validate,
-                                              &DagTotals, Cfg.Tracer);
-  R->Exec->start([this, R] { jobDone(R); });
+  // A compound job owns both devices for its duration.
+  takeLease(R, /*Gpu=*/true);
+  takeLease(R, /*Gpu=*/false);
+  launch(R, std::make_unique<dag::DagJobExec>(
+                *Ctx, R->T->W, *R->T->Dag, Cfg.DagPlace, Cfg.Validate,
+                &DagTotals, Cfg.Tracer));
 }
 
 void Engine::startCoop(Req *R) {
   R->StartAt = Ctx->now();
   R->Placement = Cfg.P == Policy::FifoExclusive ? "pair" : "corun";
   ++CoopN;
-  // Leases are taken before start(): job setup advances the simulated
-  // clock (API overheads), which can re-enter dispatch via completions.
-  GpuJob = R;
-  GpuLeaseStart = Ctx->now();
-  if (race::Analyzer::enabled())
-    race::Analyzer::instance().leaseAcquire(
-        GpuLeaseName,
-        formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-  if (Cfg.P == Policy::FifoExclusive) {
-    CpuJob = R;
-    CpuLeaseStart = Ctx->now();
-    if (race::Analyzer::enabled())
-      race::Analyzer::instance().leaseAcquire(
-          CpuLeaseName,
-          formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-  }
+  takeLease(R, /*Gpu=*/true);
+  if (Cfg.P == Policy::FifoExclusive)
+    takeLease(R, /*Gpu=*/false);
   auto Exec = std::make_unique<CoopJobExec>(*Ctx, R->T->W, Cfg.FclOpts,
                                             Cfg.Validate);
   if (Cfg.P == Policy::FluidicCorun)
     Exec->runtime().setChunkYield([this](std::function<void()> Resume) {
       onChunkBoundary(std::move(Resume));
     });
-  R->Exec = std::move(Exec);
-  R->Exec->start([this, R] { jobDone(R); });
+  launch(R, std::move(Exec));
 }
 
 void Engine::startSingle(Req *R, bool OnGpu, bool Backfill) {
@@ -202,21 +175,39 @@ void Engine::startSingle(Req *R, bool OnGpu, bool Backfill) {
   R->Placement = Backfill ? "cpu-backfill" : (OnGpu ? "gpu" : "cpu");
   if (OnGpu) {
     ++GpuSingleN;
-    GpuJob = R;
-    GpuLeaseStart = Ctx->now();
   } else {
     ++CpuSingleN;
     if (Backfill)
       ++BackfillN;
-    CpuJob = R;
-    CpuLeaseStart = Ctx->now();
   }
+  takeLease(R, OnGpu);
+  launch(R, std::make_unique<SingleJobExec>(
+                *Ctx, OnGpu ? Ctx->gpu() : Ctx->cpu(), R->T->W, Cfg.Validate));
+}
+
+void Engine::takeLease(Req *R, bool Gpu) {
+  (Gpu ? GpuJob : CpuJob) = R;
+  (Gpu ? GpuLeaseStart : CpuLeaseStart) = Ctx->now();
   if (race::Analyzer::enabled())
     race::Analyzer::instance().leaseAcquire(
-        OnGpu ? GpuLeaseName : CpuLeaseName,
+        Gpu ? GpuLeaseName : CpuLeaseName,
         formatString("req %llu", static_cast<unsigned long long>(R->Id)));
-  R->Exec = std::make_unique<SingleJobExec>(
-      *Ctx, OnGpu ? Ctx->gpu() : Ctx->cpu(), R->T->W, Cfg.Validate);
+}
+
+void Engine::dropLease(Req *R, bool Gpu) {
+  Req *&Holder = Gpu ? GpuJob : CpuJob;
+  if (Holder != R)
+    return;
+  (Gpu ? GpuBusyNs : CpuBusyNs) +=
+      (Ctx->now() - (Gpu ? GpuLeaseStart : CpuLeaseStart)).nanos();
+  Holder = nullptr;
+  if (race::Analyzer::enabled())
+    race::Analyzer::instance().leaseRelease(Gpu ? GpuLeaseName
+                                                : CpuLeaseName);
+}
+
+void Engine::launch(Req *R, std::unique_ptr<JobExec> Exec) {
+  R->Exec = std::move(Exec);
   R->Exec->start([this, R] { jobDone(R); });
 }
 
@@ -274,7 +265,7 @@ void Engine::jobDone(Req *R) {
   R->Done = true;
   ++CompletedN;
   if (R->Exec->validationFailed())
-    ++ValidationFailuresN;
+    ++Found.ValidationFailures;
   if (R->EndAt > LastEnd)
     LastEnd = R->EndAt;
 
@@ -287,29 +278,19 @@ void Engine::jobDone(Req *R) {
     std::string Name = formatString(
         "%s #%llu", R->T->W.Name.c_str(),
         static_cast<unsigned long long>(R->Id));
-    bool OnGpu = GpuJob == R;
-    bool OnCpu = CpuJob == R || std::string_view(R->Placement) == "cpu" ||
-                 std::string_view(R->Placement) == "cpu-backfill";
-    if (OnGpu)
+    // A job's lanes are the devices it leases, held until just below.
+    if (GpuJob == R)
       Cfg.Tracer->record("Serve GPU", Name, R->StartAt, R->EndAt, Detail);
-    if (OnCpu)
+    if (CpuJob == R)
       Cfg.Tracer->record("Serve CPU", Name, R->StartAt, R->EndAt, Detail);
   }
 
   bool WasCoop = GpuJob == R && (Cfg.P != Policy::DeviceAffine);
-  bool WasBackfill = std::string_view(R->Placement) == "cpu-backfill";
-  if (GpuJob == R) {
-    GpuBusyNs += (Ctx->now() - GpuLeaseStart).nanos();
-    GpuJob = nullptr;
-    if (race::Analyzer::enabled())
-      race::Analyzer::instance().leaseRelease(GpuLeaseName);
-  }
-  if (CpuJob == R) {
-    CpuBusyNs += (Ctx->now() - CpuLeaseStart).nanos();
-    CpuJob = nullptr;
-    if (race::Analyzer::enabled())
-      race::Analyzer::instance().leaseRelease(CpuLeaseName);
-  }
+  // Under corun the CPU alone is leased only by backfill jobs.
+  bool WasBackfill =
+      Cfg.P == Policy::FluidicCorun && CpuJob == R && GpuJob != R;
+  dropLease(R, /*Gpu=*/true);
+  dropLease(R, /*Gpu=*/false);
   if (WasCoop && Cfg.P == Policy::FluidicCorun) {
     // The cooperative job is gone: close its CPU span and drop any resumes
     // still parked for it (they would no-op anyway).
@@ -330,11 +311,8 @@ void Engine::emitOutcome(Req *R) {
   O.ClusterId = R->ClusterId;
   O.Stream = R->Stream;
   O.Rejected = R->Rejected;
-  O.ArrivalAt = R->ArrivalAt;
   O.StartAt = R->StartAt;
   O.EndAt = R->EndAt;
-  O.Placement = R->Placement;
-  O.Large = R->Large;
   Outcome(O);
 }
 
@@ -453,23 +431,19 @@ void Engine::collectAnalysis() {
       // then a no-op drain.
       RT->finish();
       const check::DiagSink &S = RT->diagSink();
-      CheckErrorsN += S.errorCount();
-      CheckWarningsN += S.warningCount();
+      Found.CheckErrors += S.errorCount();
+      Found.CheckWarnings += S.warningCount();
       for (const check::Diag &D : S.diags())
-        CheckDiagLines.push_back(D.str());
+        Found.CheckDiags.push_back(D.str());
     }
   }
-  if (Cfg.Races != check::Policy::Off) {
-    check::DiagSink Sink(check::Policy::Warn);
-    race::disarmAnalyzer(Sink);
-    RaceFindingsN = Sink.diags().size();
-    for (const check::Diag &D : Sink.diags())
-      RaceDiagLines.push_back(D.str());
-  }
+  if (Cfg.Races != check::Policy::Off)
+    Found.takeRaceFindings();
 }
 
 ServeReport Engine::finalize() {
   ServeReport Rep;
+  static_cast<Verdicts &>(Rep) = Found;
   Rep.PolicyName = policyName(Cfg.P);
   Rep.ArrivalDesc = Cfg.Arrival.str();
   Rep.Mix = mixName(Cfg.Mix);
@@ -547,14 +521,7 @@ ServeReport Engine::finalize() {
   Rep.SloChecked = Cfg.SloMs > 0;
   Rep.SloMs = Cfg.SloMs;
   Rep.Validated = Cfg.Validate && Cfg.Mode == mcl::ExecMode::Functional;
-  Rep.ValidationFailures = ValidationFailuresN;
   Rep.CheckEnabled = Cfg.FclOpts.Check != check::Policy::Off;
-  Rep.CheckErrors = CheckErrorsN;
-  Rep.CheckWarnings = CheckWarningsN;
-  Rep.CheckDiags = CheckDiagLines;
-  Rep.RacesEnabled = Cfg.Races != check::Policy::Off;
-  Rep.RaceFindings = RaceFindingsN;
-  Rep.RaceDiags = RaceDiagLines;
 
   // Mirror into the fcl::stats registry (the observability view; the
   // tool's --stats-json embeds it verbatim).
@@ -568,7 +535,7 @@ ServeReport Engine::finalize() {
   St.add("serve_jobs_backfill", BackfillN);
   St.add("serve_chunk_yields", ChunkYields);
   St.add("serve_slo_violations", Rep.SloViolations);
-  St.add("serve_validation_failures", ValidationFailuresN);
+  St.add("serve_validation_failures", Rep.ValidationFailures);
   // DAG counters only when compound jobs ran: plain mixes keep their
   // pre-dag report bytes.
   if (DagN) {
@@ -584,12 +551,12 @@ ServeReport Engine::finalize() {
   }
   // Analysis counters only when something was found: a clean analyzed run
   // must keep the exact bytes of an unanalyzed one.
-  if (CheckErrorsN || CheckWarningsN) {
-    St.add("serve_check_errors", CheckErrorsN);
-    St.add("serve_check_warnings", CheckWarningsN);
+  if (Rep.CheckErrors || Rep.CheckWarnings) {
+    St.add("serve_check_errors", Rep.CheckErrors);
+    St.add("serve_check_warnings", Rep.CheckWarnings);
   }
-  if (RaceFindingsN)
-    St.add("serve_race_findings", RaceFindingsN);
+  if (Rep.RaceFindings)
+    St.add("serve_race_findings", Rep.RaceFindings);
   St.set("serve_e2e_p50_ms", Rep.E2e.P50);
   St.set("serve_e2e_p95_ms", Rep.E2e.P95);
   St.set("serve_e2e_p99_ms", Rep.E2e.P99);

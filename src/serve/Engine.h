@@ -102,11 +102,8 @@ struct JobOutcome {
   uint64_t ClusterId = 0;
   int Stream = 0;
   bool Rejected = false;
-  TimePoint ArrivalAt;
   TimePoint StartAt;
   TimePoint EndAt;
-  const char *Placement = "";
-  bool Large = false;
 };
 
 /// One engine instance runs one complete serve experiment.
@@ -188,6 +185,15 @@ private:
   /// True when the next queued request is a compound (DAG) job.
   bool headIsDag() const;
   void startSingle(Req *R, bool OnGpu, bool Backfill);
+  /// The one lease path. takeLease gives \p R the GPU's (\p Gpu) or the
+  /// CPU's lease and starts its busy span; it is called before the job's
+  /// executor starts, because job setup advances the simulated clock and
+  /// can re-enter dispatch. dropLease releases it if \p R holds it and
+  /// books the busy time.
+  void takeLease(Req *R, bool Gpu);
+  void dropLease(Req *R, bool Gpu);
+  /// Hands \p R to \p Exec and starts it; jobDone fires on completion.
+  void launch(Req *R, std::unique_ptr<JobExec> Exec);
   void jobDone(Req *R);
   /// fluidicl chunk-yield hook of the active cooperative job (corun only).
   void onChunkBoundary(std::function<void()> Resume);
@@ -199,8 +205,8 @@ private:
   Req *popHead();
   void sampleQueueDepth();
   /// Drains per-job runtime check diagnostics and (when Cfg.Races is on)
-  /// fcl::race findings into the aggregate members below (called after
-  /// the simulator is idle, before executors are torn down).
+  /// fcl::race findings into Found (called after the simulator is idle,
+  /// before executors are torn down).
   void collectAnalysis();
   void emitOutcome(Req *R);
   ServeReport finalize();
@@ -240,7 +246,6 @@ private:
   uint64_t DagN = 0;
   dag::DagStats DagTotals;
   uint64_t ChunkYields = 0;
-  uint64_t ValidationFailuresN = 0;
   uint64_t StolenOutN = 0;
   TimePoint LastEnd;
   std::function<void(const JobOutcome &)> Outcome;
@@ -254,12 +259,9 @@ private:
   std::string CpuLeaseName;
   std::string ReadyObj;
 
-  // Aggregated fcl::check / fcl::race outcome (collectAnalysis()).
-  uint64_t CheckErrorsN = 0;
-  uint64_t CheckWarningsN = 0;
-  std::vector<std::string> CheckDiagLines;
-  uint64_t RaceFindingsN = 0;
-  std::vector<std::string> RaceDiagLines;
+  /// Validation failures (counted per job) and the fcl::check / fcl::race
+  /// outcome (collectAnalysis()); finalize copies it into the report.
+  Verdicts Found;
 };
 
 } // namespace serve

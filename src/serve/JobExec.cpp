@@ -13,27 +13,42 @@
 using namespace fcl;
 using namespace fcl::serve;
 
+// --- JobExec ---------------------------------------------------------------
+
+void JobExec::begin(DoneFn Done) {
+  OnDone = std::move(Done);
+  if (!Ctx.functional())
+    return;
+  Host = work::initHostData(W);
+  Results.resize(W.ResultBuffers.size());
+  for (size_t R = 0; R < W.ResultBuffers.size(); ++R)
+    Results[R].resize(W.Buffers[W.ResultBuffers[R]].Bytes);
+}
+
+void JobExec::finishJob() {
+  if (Validate && Ctx.functional())
+    ValidationFailed = !work::validateResults(W, Host, Results).Valid;
+  FCL_CHECK(OnDone, "job finished twice");
+  DoneFn Fn = std::move(OnDone);
+  OnDone = nullptr;
+  Fn();
+}
+
 // --- CoopJobExec -----------------------------------------------------------
 
 CoopJobExec::CoopJobExec(mcl::Context &Ctx, const work::Workload &W,
                          const fluidicl::Options &Opts, bool Validate)
-    : Ctx(Ctx), W(W), Validate(Validate),
+    : JobExec(Ctx, W, Validate),
       RT(std::make_unique<fluidicl::Runtime>(Ctx, Opts)) {}
 
 void CoopJobExec::start(DoneFn Done) {
-  OnDone = std::move(Done);
+  begin(std::move(Done));
   bool Functional = Ctx.functional();
-  if (Functional)
-    Host = work::initHostData(W);
   for (size_t I = 0; I < W.Buffers.size(); ++I)
     Ids.push_back(RT->createBuffer(W.Buffers[I].Bytes, W.Buffers[I].Name));
   for (size_t I = 0; I < W.Buffers.size(); ++I)
     RT->writeBuffer(Ids[I], Functional ? Host[I].data() : nullptr,
                     W.Buffers[I].Bytes);
-  Results.resize(W.ResultBuffers.size());
-  if (Functional)
-    for (size_t R = 0; R < W.ResultBuffers.size(); ++R)
-      Results[R].resize(W.Buffers[W.ResultBuffers[R]].Bytes);
   launchNext();
 }
 
@@ -66,26 +81,15 @@ void CoopJobExec::readNext() {
                       W.Buffers[BufIdx].Bytes, [this] { readNext(); });
 }
 
-void CoopJobExec::finishJob() {
-  if (Validate && Ctx.functional())
-    ValidationFailed = !work::validateResults(W, Host, Results).Valid;
-  FCL_CHECK(OnDone, "job finished twice");
-  DoneFn Fn = std::move(OnDone);
-  OnDone = nullptr;
-  Fn();
-}
-
 // --- SingleJobExec ---------------------------------------------------------
 
 SingleJobExec::SingleJobExec(mcl::Context &Ctx, mcl::Device &Dev,
                              const work::Workload &W, bool Validate)
-    : Ctx(Ctx), Dev(Dev), W(W), Validate(Validate) {}
+    : JobExec(Ctx, W, Validate), Dev(Dev) {}
 
 void SingleJobExec::start(DoneFn Done) {
-  OnDone = std::move(Done);
+  begin(std::move(Done));
   bool Functional = Ctx.functional();
-  if (Functional)
-    Host = work::initHostData(W);
   Q = Ctx.createQueue(Dev, "serve-single");
   Duration Api = Ctx.machine().Host.ApiCallOverhead;
   for (const work::BufferSpec &Spec : W.Buffers) {
@@ -103,11 +107,8 @@ void SingleJobExec::start(DoneFn Done) {
         kern::Registry::builtin().get(Call.Kernel), Call.Range, Call.Args,
         [this](runtime::BufferId B) { return Bufs[B].get(); }));
   }
-  Results.resize(W.ResultBuffers.size());
   for (size_t R = 0; R < W.ResultBuffers.size(); ++R) {
     size_t BufIdx = W.ResultBuffers[R];
-    if (Functional)
-      Results[R].resize(W.Buffers[BufIdx].Bytes);
     Ctx.hostAdvance(Api);
     Q->enqueueRead(*Bufs[BufIdx], Functional ? Results[R].data() : nullptr,
                    W.Buffers[BufIdx].Bytes);
@@ -116,13 +117,4 @@ void SingleJobExec::start(DoneFn Done) {
   // and read above has completed.
   mcl::EventPtr Tail = Q->enqueueCallback([] {});
   Tail->onComplete([this] { finishJob(); });
-}
-
-void SingleJobExec::finishJob() {
-  if (Validate && Ctx.functional())
-    ValidationFailed = !work::validateResults(W, Host, Results).Valid;
-  FCL_CHECK(OnDone, "job finished twice");
-  DoneFn Fn = std::move(OnDone);
-  OnDone = nullptr;
-  Fn();
 }

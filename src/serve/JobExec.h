@@ -18,9 +18,10 @@
 ///    device; writes, kernels and reads are enqueued back-to-back and the
 ///    last read's completion finishes the job.
 ///
-/// In functional execution mode both executors can validate their results
-/// against the host reference, proving that concurrent streams do not
-/// corrupt each other's data.
+/// Both build on the JobExec core below, as does the DAG executor
+/// (dag/DagExec.h). In functional execution mode every executor can
+/// validate its results against the host reference, proving that
+/// concurrent streams do not corrupt each other's data.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,10 +42,14 @@
 namespace fcl {
 namespace serve {
 
-/// Base of the two executor shapes. Lifetime: the engine keeps every
-/// executor alive until the whole run is torn down, so trailing cooperative
-/// work (DH transfers after the client already has its results) can drain
-/// on the shared clock without dangling queues.
+/// The one executor core under every job shape (CoopJobExec,
+/// SingleJobExec and dag::DagJobExec): it owns the job's workload, the
+/// pristine host inputs, the result slots and the completion callback, and
+/// states the finish rule (validate, then fire OnDone once) for all three.
+/// Lifetime: the engine keeps every executor alive until the whole run is
+/// torn down, so trailing cooperative work (DH transfers after the client
+/// already has its results) can drain on the shared clock without dangling
+/// queues.
 class JobExec {
 public:
   using DoneFn = std::function<void()>;
@@ -61,11 +66,32 @@ public:
 
   /// The job's FluidiCL runtime when it has one (cooperative executors
   /// only); the engine drains its check diagnostics into the serve report
-  /// before tear-down. Null for single-device executors.
+  /// before tear-down. Null for the other executors.
   virtual fluidicl::Runtime *fclRuntime() { return nullptr; }
 
 protected:
+  JobExec(mcl::Context &Ctx, const work::Workload &W, bool Validate)
+      : Ctx(Ctx), W(W), Validate(Validate) {}
+
+  /// First step of every start(): keeps \p Done and, in functional mode,
+  /// draws the host inputs and sizes one slot per result buffer.
+  void begin(DoneFn Done);
+  /// Last step of every job: validates Results against the host reference
+  /// over Host (when asked, functional mode) and fires OnDone once.
+  void finishJob();
+
+  mcl::Context &Ctx;
+  const work::Workload &W;
+  bool Validate;
+  /// Pristine host inputs (functional mode only): writes copy them, and
+  /// validation replays the host reference from them.
+  std::vector<std::vector<std::byte>> Host;
+  /// One host slot per workload result buffer (sized in functional mode).
+  std::vector<std::vector<std::byte>> Results;
+
+private:
   bool ValidationFailed = false;
+  DoneFn OnDone;
 };
 
 /// Cooperative CPU+GPU execution through a private FluidiCL runtime.
@@ -85,18 +111,11 @@ public:
 private:
   void launchNext();
   void readNext();
-  void finishJob();
 
-  mcl::Context &Ctx;
-  const work::Workload &W;
-  bool Validate;
   std::unique_ptr<fluidicl::Runtime> RT;
   std::vector<runtime::BufferId> Ids;
-  std::vector<std::vector<std::byte>> Host;    // Functional mode only.
-  std::vector<std::vector<std::byte>> Results; // Functional mode only.
   size_t NextCall = 0;
   size_t NextRead = 0;
-  DoneFn OnDone;
 };
 
 /// Whole job on one device through a private in-order queue.
@@ -108,17 +127,9 @@ public:
   void start(DoneFn OnDone) override;
 
 private:
-  void finishJob();
-
-  mcl::Context &Ctx;
   mcl::Device &Dev;
-  const work::Workload &W;
-  bool Validate;
   std::unique_ptr<mcl::CommandQueue> Q;
   std::vector<std::unique_ptr<mcl::Buffer>> Bufs;
-  std::vector<std::vector<std::byte>> Host;
-  std::vector<std::vector<std::byte>> Results;
-  DoneFn OnDone;
 };
 
 } // namespace serve

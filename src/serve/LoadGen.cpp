@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 using namespace fcl;
 using namespace fcl::serve;
@@ -34,9 +35,13 @@ bool fcl::serve::parseArrivalSpec(const std::string &Spec, ArrivalSpec &Out,
   std::string Kind = Spec.substr(0, Colon);
   double Value = 0;
   if (Colon != std::string::npos) {
-    try {
-      Value = std::stod(Spec.substr(Colon + 1));
-    } catch (...) {
+    // The whole value must parse, and to a finite number: a NaN would pass
+    // the sign check below and an infinite rate would draw arrivals
+    // without bound.
+    const char *Text = Spec.c_str() + Colon + 1;
+    char *End = nullptr;
+    Value = std::strtod(Text, &End);
+    if (End == Text || *End != '\0' || !std::isfinite(Value)) {
       Err = "malformed arrival value in '" + Spec + "'";
       return false;
     }

@@ -6,6 +6,8 @@
 
 #include "serve/Metrics.h"
 
+#include "check/Diag.h"
+#include "race/Bridge.h"
 #include "support/Format.h"
 #include "support/JsonWriter.h"
 #include "support/Statistics.h"
@@ -81,6 +83,15 @@ void fcl::serve::writeVerdictsJson(JsonWriter &W, const Verdicts &V,
   W.members("counters", V.Stats.counters());
   W.members("gauges", V.Stats.gauges());
   W.end();
+}
+
+void Verdicts::takeRaceFindings() {
+  check::DiagSink Sink(check::Policy::Warn);
+  race::disarmAnalyzer(Sink);
+  RacesEnabled = true;
+  RaceFindings = Sink.diags().size();
+  for (const check::Diag &D : Sink.diags())
+    RaceDiags.push_back(D.str());
 }
 
 std::string ServeReport::toJson() const {

@@ -56,16 +56,15 @@ void writeLatencyJson(JsonWriter &W, const LatencySummary &S);
 /// One "  <name> p50 ... max ..." line of a text report.
 std::string latencyRow(const char *Name, const LatencySummary &S);
 
-/// Final state of one request, as recorded by the engine.
-struct RequestRecord {
+/// The per-job fields both serving reports record: identity, size class
+/// and the three timestamps the latencies decompose from.
+struct JobRecord {
   uint64_t Id = 0;
   int Stream = 0;
   std::string Workload;
   uint64_t MaxGroups = 0;
   bool Large = false;
   bool Rejected = false;
-  /// Where the job ran: "pair", "corun", "gpu", "cpu", "cpu-backfill".
-  std::string Placement;
   TimePoint ArrivalAt;
   TimePoint StartAt;
   TimePoint EndAt;
@@ -73,6 +72,12 @@ struct RequestRecord {
   double queueWaitMs() const { return (StartAt - ArrivalAt).toMillis(); }
   double serviceMs() const { return (EndAt - StartAt).toMillis(); }
   double e2eMs() const { return (EndAt - ArrivalAt).toMillis(); }
+};
+
+/// Final state of one request, as recorded by the engine.
+struct RequestRecord : JobRecord {
+  /// Where the job ran: "pair", "corun", "gpu", "cpu", "cpu-backfill".
+  std::string Placement;
 };
 
 /// The verdicts both serving reports (serve and cluster) carry, and the
@@ -101,6 +106,10 @@ struct Verdicts {
 
   /// Counter/gauge mirror of the report's numbers (the fcl::stats view).
   stats::Registry Stats;
+
+  /// The one race drain: disarms the fcl::race analyzer and records its
+  /// findings (RacesEnabled, RaceFindings, RaceDiags).
+  void takeRaceFindings();
 };
 
 /// Writes \p V as the closing members of an open report object: "slo" and

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 using namespace fcl;
@@ -58,6 +59,11 @@ TEST(LoadGenTest, ParseArrivalSpecs) {
   EXPECT_FALSE(parseArrivalSpec("poisson", A, Err));
   EXPECT_FALSE(parseArrivalSpec("poisson:-3", A, Err));
   EXPECT_FALSE(parseArrivalSpec("burst:9", A, Err));
+  // The whole value must parse to a finite number.
+  EXPECT_FALSE(parseArrivalSpec("poisson:5abc", A, Err));
+  EXPECT_FALSE(parseArrivalSpec("poisson:nan", A, Err));
+  EXPECT_FALSE(parseArrivalSpec("poisson:inf", A, Err));
+  EXPECT_FALSE(parseArrivalSpec("closed:nan", A, Err));
 }
 
 TEST(LoadGenTest, TemplatesSpanBothClasses) {
@@ -371,6 +377,45 @@ TEST(ServeEngineTest, TracerGetsServeLanes) {
   std::string Json = T.renderChromeTrace();
   EXPECT_NE(Json.find("Serve GPU"), std::string::npos);
   EXPECT_NE(Json.find("Serve queue depth"), std::string::npos);
+}
+
+// A job's serve lanes are the devices it leased: pair and dag jobs hold
+// both, corun and gpu jobs only the GPU, cpu and cpu-backfill jobs only
+// the CPU. Every placement occurs under one of the policy/mix runs.
+TEST(ServeEngineTest, TraceLanesFollowLeases) {
+  const std::set<std::string> GpuLeases = {"pair", "dag", "corun", "gpu"};
+  const std::set<std::string> CpuLeases = {"pair", "dag", "cpu",
+                                           "cpu-backfill"};
+  std::set<std::string> Seen;
+  for (MixKind Mix : {MixKind::Mixed, MixKind::Pipeline}) {
+    for (Policy P : {Policy::FifoExclusive, Policy::DeviceAffine,
+                     Policy::FluidicCorun}) {
+      SCOPED_TRACE(std::string(policyName(P)) + "/" + mixName(Mix));
+      trace::Tracer T;
+      EngineConfig Cfg = baseConfig(P);
+      Cfg.Mix = Mix;
+      Cfg.Horizon = Duration::milliseconds(30);
+      Cfg.Tracer = &T;
+      ServeReport R = runServe(Cfg);
+      size_t WantGpu = 0, WantCpu = 0;
+      for (const RequestRecord &Q : R.Requests) {
+        Seen.insert(Q.Placement);
+        WantGpu += GpuLeases.count(Q.Placement);
+        WantCpu += CpuLeases.count(Q.Placement);
+      }
+      size_t GotGpu = 0, GotCpu = 0;
+      for (const trace::TraceEvent &E : T.events()) {
+        GotGpu += E.Lane == "Serve GPU";
+        GotCpu += E.Lane == "Serve CPU";
+      }
+      EXPECT_GT(WantGpu + WantCpu, 0u);
+      EXPECT_EQ(GotGpu, WantGpu);
+      EXPECT_EQ(GotCpu, WantCpu);
+    }
+  }
+  for (const char *Placement :
+       {"pair", "dag", "corun", "gpu", "cpu", "cpu-backfill"})
+    EXPECT_EQ(Seen.count(Placement), 1u) << Placement;
 }
 
 TEST(ServeEngineTest, ReportJsonCarriesSchemaAndConfigEcho) {

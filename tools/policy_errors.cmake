@@ -1,9 +1,10 @@
 # Error-path gate for policy-ish enum options and bounded numeric options:
 # the serving tools must reject an unknown --policy / --placement /
-# --dag-placement value, and an out-of-range or non-numeric --queue-depth /
-# --threshold / --link-us value, with a single-line stderr diagnostic
-# naming the bad value and the accepted set, and the usage exit code 1 -
-# not a crash, not a silent fallback to the default. Invoked by ctest as
+# --dag-placement value, an out-of-range or non-numeric --queue-depth /
+# --threshold / --link-us value, and a malformed or non-finite --arrival
+# value, with a single-line stderr diagnostic naming the bad value (and
+# the accepted set), and the usage exit code 1 - not a crash, not a silent
+# fallback to the default. Invoked by ctest as
 #
 #   cmake -DSERVE=<fluidicl_serve> -DCLUSTER=<fluidicl_cluster>
 #         -P policy_errors.cmake
@@ -62,6 +63,17 @@ foreach(TOOL "${SERVE}" "${CLUSTER}")
 endforeach()
 expect_policy_error("${CLUSTER}" "bad --link-us value '-5'"
                     --workers=2 ${SHORT} --link-us=-5)
+
+# --arrival values must parse whole and be finite: a trailing suffix must
+# not be dropped, and NaN or infinity must not reach the load generator.
+foreach(TOOL "${SERVE}" "${CLUSTER}")
+  foreach(A poisson:5abc poisson:nan poisson:inf)
+    expect_policy_error("${TOOL}" "malformed arrival value in '${A}'"
+                        ${SHORT} --arrival=${A})
+  endforeach()
+endforeach()
+expect_policy_error("${SERVE}" "malformed arrival value in 'closed:nan'"
+                    ${SHORT} --arrival=closed:nan)
 
 message(STATUS
         "both serving tools reject bad policy/placement/numeric values "
